@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus, engine, profiler, report, sqlgen
+from . import engine, report
 from .ingest import DataError, DialectConfig, open_dataset
 from .lang import (
     SpecEncodingError,
@@ -114,6 +114,8 @@ def _cmd_validate_spec(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from . import profiler
+
     try:
         dialect = DialectConfig(
             delimiter=args.delimiter,
@@ -164,6 +166,8 @@ def _ident_from_path(p: str) -> str:
 
 
 def _cmd_emit_sql(args) -> int:
+    from . import sqlgen
+
     try:
         _ast, vspec = _load_spec(args.spec)
     except (SpecSyntaxError, SpecValidationError, SpecEncodingError) as exc:
@@ -202,6 +206,8 @@ def _cmd_emit_sql(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import corpus
+
     try:
         data = Path(args.plan).read_bytes()
     except OSError as exc:
@@ -227,6 +233,19 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low` (usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dqspec",
@@ -240,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a source's data path")
     c.add_argument("--report", choices=["text", "json"], default="text")
     c.add_argument("--flagged", metavar="PATH", help="write the flagged-record protocol CSV")
-    c.add_argument("--jobs", type=int, default=1, help="worker processes for evaluation")
-    c.add_argument("--max-flagged-per-rule", type=int, default=None, metavar="K")
+    c.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker processes for evaluation")
+    c.add_argument("--max-flagged-per-rule", type=_int_at_least(0), default=None, metavar="K")
     c.set_defaults(fn=_cmd_check)
 
     v = sub.add_parser("validate-spec", help="parse and semantically check a specification")

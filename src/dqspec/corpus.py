@@ -258,8 +258,26 @@ _SYLLABLES = (
 )
 
 
+# Draws below are inlined rejection loops over getrandbits(n.bit_length()):
+# exactly CPython's Random._randbelow(n), and so the same stream as
+# rng.choice / rng.randrange, without their per-call overhead.
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LOWER = _UPPER.lower()
+_DIGITS = "0123456789"
+
+
 def _word(rng: random.Random, title: bool = False) -> str:
-    w = "".join(rng.choice(_SYLLABLES) for _ in range(rng.randrange(2, 5)))
+    bits = rng.getrandbits
+    n = bits(2)  # 2 + randbelow(3) syllables
+    while n >= 3:
+        n = bits(2)
+    parts = []
+    for _ in range(n + 2):
+        r = bits(5)  # randbelow(len(_SYLLABLES) == 18)
+        while r >= 18:
+            r = bits(5)
+        parts.append(_SYLLABLES[r])
+    w = "".join(parts)
     return w.capitalize() if title else w
 
 
@@ -277,14 +295,19 @@ def _format_date(d: date, fmt: str) -> str:
 
 
 def _template_value(rng: random.Random, t: str) -> str:
+    bits = rng.getrandbits
     out = []
     for ch in t:
         if ch == "#":
-            out.append(str(rng.randrange(10)))
-        elif ch == "@":
-            out.append(chr(ord("A") + rng.randrange(26)))
-        elif ch == "&":
-            out.append(chr(ord("a") + rng.randrange(26)))
+            r = bits(4)  # randbelow(10)
+            while r >= 10:
+                r = bits(4)
+            out.append(_DIGITS[r])
+        elif ch == "@" or ch == "&":
+            r = bits(5)  # randbelow(26)
+            while r >= 26:
+                r = bits(5)
+            out.append(_UPPER[r] if ch == "@" else _LOWER[r])
         else:
             out.append(ch)
     return "".join(out)

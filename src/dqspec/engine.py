@@ -2,10 +2,14 @@
 streaming pass per source.
 
 Execution is two-phase: reference lookup indexes are built first, then
-each object's source is streamed once in fixed-size chunks. Chunks are
-evaluated by a pure function (optionally on a process pool) and merged
-sequentially, so reports and violation order are identical for any
-worker count. Uniqueness tracking lives in the sequential merge step.
+each object's source is streamed once. Every well-formed record goes
+through one generated, plan-specialised function (see `codegen`); its
+per-record results are merged sequentially, in record order, where
+uniqueness is tracked and violations are counted and emitted. With
+`jobs` > 1 the records travel in fixed-size chunks to worker processes
+running the same function, with at most two chunks per worker in
+flight, so reports and violation order are identical for any worker
+count.
 
 Violations are ordered by (record ordinal, emitter order) where emitter
 order is: structure, then per field its type check followed by its
@@ -15,14 +19,13 @@ order.
 
 from __future__ import annotations
 
-import operator
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
+from .codegen import Evaluator
 from .ingest import DataError, DatasetReader, dialect_from_source, open_dataset
-from .kernel import eval_fields
 from .lang import ast
 from .lang.checker import ValidatedSpec
 from .values import (
@@ -34,15 +37,14 @@ from .values import (
     C_MIN,
     C_MINLEN,
     C_NOT_NULL,
-    ParseFailure,
     T_DATE,
     T_ENUM,
     TYPE_CODE_BY_NAME,
 )
 
-CHUNK_RECORDS = 4096  # fixed so partitioning never depends on the worker count
+CHUNK_RECORDS = 4096  # records per chunk at jobs > 1; fixed, so chunks never depend on the worker count
 
-_KERNEL_CODE = {
+_CONSTRAINT_CODE = {
     "not_null": C_NOT_NULL,
     "matches": C_MATCHES,
     "min": C_MIN,
@@ -50,15 +52,6 @@ _KERNEL_CODE = {
     "minlen": C_MINLEN,
     "maxlen": C_MAXLEN,
     "in_reference": C_IN_REF,
-}
-
-_CMP_FNS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
 }
 
 
@@ -262,9 +255,9 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 elif c.kind == "matches":
                     kcons.append((C_MATCHES, eidx, vspec.patterns[c.arg]))
                 elif c.kind in ("min", "max"):
-                    kcons.append((_KERNEL_CODE[c.kind], eidx, c.arg.value))
+                    kcons.append((_CONSTRAINT_CODE[c.kind], eidx, c.arg.value))
                 elif c.kind in ("minlen", "maxlen"):
-                    kcons.append((_KERNEL_CODE[c.kind], eidx, c.arg))
+                    kcons.append((_CONSTRAINT_CODE[c.kind], eidx, c.arg))
                 else:  # not_null
                     kcons.append((C_NOT_NULL, eidx, None))
             fields.append(
@@ -346,135 +339,17 @@ def _constraint_message(c: ast.FieldConstraint) -> str:
     raise ValueError(c.kind)
 
 
-# ------------------------------------------------------------- record closures
-
-def _compile_operand(op, fidx: dict[str, int]):
-    if isinstance(op, ast.FieldRef):
-        i = fidx[op.name]
-
-        def get(vs, _i=i):
-            v = vs[_i]
-            if v is None or isinstance(v, ParseFailure):
-                return None
-            return v
-
-        return get
-    val = op.value
-    return lambda vs, _v=val: _v
-
-
-def compile_expr(e, fidx: dict[str, int], patterns: dict):
-    """Compile a rule expression to fn(values) -> True | False | None,
-    with SQL-style three-valued logic over null operands."""
-    if isinstance(e, ast.Cmp):
-        lf = _compile_operand(e.lhs, fidx)
-        rf = _compile_operand(e.rhs, fidx)
-        opf = _CMP_FNS[e.op]
-
-        def cmp_fn(vs):
-            a = lf(vs)
-            if a is None:
-                return None
-            b = rf(vs)
-            if b is None:
-                return None
-            return opf(a, b)
-
-        return cmp_fn
-    if isinstance(e, ast.NullTest):
-        g = _compile_operand(e.operand, fidx)
-        if e.negated:
-            return lambda vs: g(vs) is not None
-        return lambda vs: g(vs) is None
-    if isinstance(e, ast.MatchTest):
-        g = _compile_operand(e.operand, fidx)
-        pat = patterns[e.pattern]
-
-        def match_fn(vs):
-            a = g(vs)
-            if a is None:
-                return None
-            return pat.fullmatch(a) is not None
-
-        return match_fn
-    if isinstance(e, ast.And):
-        fns = [compile_expr(i, fidx, patterns) for i in e.items]
-
-        def and_fn(vs):
-            unknown = False
-            for fn in fns:
-                r = fn(vs)
-                if r is False:
-                    return False
-                if r is None:
-                    unknown = True
-            return None if unknown else True
-
-        return and_fn
-    if isinstance(e, ast.Or):
-        fns = [compile_expr(i, fidx, patterns) for i in e.items]
-
-        def or_fn(vs):
-            unknown = False
-            for fn in fns:
-                r = fn(vs)
-                if r is True:
-                    return True
-                if r is None:
-                    unknown = True
-            return None if unknown else False
-
-        return or_fn
-    if isinstance(e, ast.Not):
-        fn = compile_expr(e.item, fidx, patterns)
-
-        def not_fn(vs):
-            r = fn(vs)
-            return None if r is None else not r
-
-        return not_fn
-    raise ValueError(f"not an expression node: {e!r}")
-
-
 # -------------------------------------------------------------- materialization
 
 class _Runtime:
-    """Per-process executable form of one ObjectPlan."""
+    """Per-process executable form of one ObjectPlan: its generated
+    evaluator plus what the sequential merge needs."""
 
-    __slots__ = ("prog", "rule_fns", "unique_slots", "eidx_col", "severities", "metas")
+    __slots__ = ("evaluator", "unique_eidx", "severities", "metas")
 
     def __init__(self, oplan: ObjectPlan, vspec: ValidatedSpec, colmap: list[int], indexes):
-        from .values import compile_date_format
-
-        prog = []
-        unique_slots: list[tuple[int, int]] = []
-        eidx_col = [-1] * len(oplan.emitters)
-        src = vspec.source_map[oplan.source]
-        for fi, fs in enumerate(oplan.fields):
-            col = colmap[fi]
-            targ = None
-            if fs.tcode == T_DATE:
-                targ = vspec.date_formats.get(fs.targ_key) or compile_date_format(fs.targ_key)
-            elif fs.tcode == T_ENUM:
-                targ = frozenset(fs.targ_key)
-            cons = []
-            for ccode, eidx, arg in fs.constraints:
-                if ccode == C_IN_REF:
-                    arg = indexes[(arg[1], arg[2])].values
-                cons.append((ccode, eidx, arg))
-                eidx_col[eidx] = col
-            eidx_col[fs.type_eidx] = col
-            if fs.unique_eidx is not None:
-                unique_slots.append((fi, fs.unique_eidx))
-                eidx_col[fs.unique_eidx] = col
-            prog.append((col, fs.tcode, targ, src.null_tokens, fs.type_eidx, tuple(cons)))
-        fidx = {fs.name: i for i, fs in enumerate(oplan.fields)}
-        self.prog = tuple(prog)
-        self.rule_fns = tuple(
-            (eidx, compile_expr(r.expr, fidx, vspec.patterns)) for eidx, r in oplan.rules
-        )
-        self.unique_slots = tuple(unique_slots)
-        self.eidx_col = eidx_col
+        self.evaluator = Evaluator(oplan, vspec, colmap, indexes)
+        self.unique_eidx = tuple(fs.unique_eidx for fs in oplan.fields if fs.unique_eidx is not None)
         self.severities = [m.severity for m in oplan.emitters]
         self.metas = oplan.emitters
 
@@ -486,60 +361,57 @@ def _resolve_columns(oplan: ObjectPlan, reader: DatasetReader) -> list[int]:
     ]
 
 
-def _eval_chunk(chunk, rt: _Runtime):
-    """Pure per-chunk evaluation; identical inline and on worker processes."""
-    out = []
-    prog = rt.prog
-    rule_fns = rt.rule_fns
-    unique_slots = rt.unique_slots
-    eidx_col = rt.eidx_col
-    for ordinal, cells in chunk:
-        if cells is None:
-            out.append((ordinal, None, None))
-            continue
-        values, kviols = eval_fields(cells, prog)
-        viols = [(eidx, cells[eidx_col[eidx]]) for eidx in kviols]
-        for eidx, fn in rule_fns:
-            if fn(values) is not True:
-                viols.append((eidx, ""))
-        if unique_slots:
-            uvals = tuple(
-                (
-                    None
-                    if values[fi] is None or isinstance(values[fi], ParseFailure)
-                    else values[fi],
-                    cells[eidx_col[eidx]],
-                )
-                for fi, eidx in unique_slots
-            )
+def eval_fields(cells, evaluate):
+    """Evaluate one well-formed record; the one call per record that
+    tracing hooks onto."""
+    return evaluate(cells)
+
+
+def _evaluated(records, evaluate):
+    """(ordinal, cells, ragged) records -> (ordinal, viols, uvals)
+    results; a ragged record has viols None."""
+    for ordinal, cells, ragged in records:
+        if ragged:
+            yield ordinal, None, None
         else:
-            uvals = ()
-        out.append((ordinal, viols, uvals))
-    return out
+            viols, uvals = eval_fields(cells, evaluate)
+            yield ordinal, viols, uvals
 
 
 # worker-process state for parallel evaluation
-_WORKER_RT: _Runtime | None = None
+_WORKER_EVALUATE = None
 
 
 def _worker_init(plan: CheckPlan, obj_index: int, colmap: list[int], indexes):
-    global _WORKER_RT
-    _WORKER_RT = _Runtime(plan.objects[obj_index], plan.spec, colmap, indexes)
+    global _WORKER_EVALUATE
+    _WORKER_EVALUATE = Evaluator(plan.objects[obj_index], plan.spec, colmap, indexes).evaluate
 
 
 def _worker_eval(chunk):
-    return _eval_chunk(chunk, _WORKER_RT)
+    return list(_evaluated(chunk, _WORKER_EVALUATE))
 
 
 def _chunks(reader):
     buf = []
-    for ordinal, cells, ragged in reader:
-        buf.append((ordinal, None if ragged else cells))
+    for record in reader:
+        buf.append(record)
         if len(buf) >= CHUNK_RECORDS:
             yield buf
             buf = []
     if buf:
         yield buf
+
+
+def _pooled(pool, reader, window: int):
+    """Results of every chunk evaluated on `pool`, in record order, with
+    at most `window` chunks submitted and not yet consumed."""
+    pending: deque = deque()
+    for chunk in _chunks(reader):
+        if len(pending) >= window:
+            yield from pending.popleft().result()
+        pending.append(pool.submit(_worker_eval, chunk))
+    while pending:
+        yield from pending.popleft().result()
 
 
 # ------------------------------------------------------------------- execution
@@ -578,9 +450,11 @@ def evaluate_record(instance, plan: CheckPlan, indexes=None, object_name: str | 
     cells = [instance.values[fs.name][0] for fs in oplan.fields]
     colmap = list(range(len(oplan.fields)))
     rt = _Runtime(oplan, plan.spec, colmap, indexes or {})
-    recs = _eval_chunk([(instance.record_ordinal, cells)], rt)
-    merged = _merge_record(recs[0], rt, trackers if trackers is not None else {})
-    return [_lift(rt, eidx, raw, instance.record_ordinal) for eidx, raw in merged]
+    out: list[Violation] = []
+    results = _evaluated([(instance.record_ordinal, cells, False)], rt.evaluator.evaluate)
+    counts = [0] * len(oplan.emitters)
+    _merge_all(results, rt, trackers if trackers is not None else {}, counts, out.append)
+    return out
 
 
 def _object_plan(plan: CheckPlan, object_name: str | None) -> ObjectPlan:
@@ -590,28 +464,6 @@ def _object_plan(plan: CheckPlan, object_name: str | None) -> ObjectPlan:
         if o.name == object_name:
             return o
     raise KeyError(object_name)
-
-
-def _merge_record(rec, rt: _Runtime, trackers):
-    """Resolve uniqueness for one evaluated record and return its violation
-    list sorted by emitter index. rec is (ordinal, viols, uvals)."""
-    ordinal, viols, uvals = rec
-    if viols is None:
-        return [(0, "")]
-    if rt.unique_slots:
-        added = False
-        for j, (_fi, eidx) in enumerate(rt.unique_slots):
-            v, raw = uvals[j]
-            if v is None:
-                continue
-            tracker = trackers.setdefault(eidx, {})
-            first = tracker.setdefault(v, ordinal)
-            if first != ordinal:
-                viols.append((eidx, raw))
-                added = True
-        if added:
-            viols.sort(key=lambda t: t[0])
-    return viols
 
 
 def _lift(rt: _Runtime, eidx: int, raw: str, ordinal: int) -> Violation:
@@ -697,18 +549,19 @@ def run(
             colmap = _resolve_columns(oplan, reader)
             rt = _Runtime(oplan, vspec, colmap, indexes)
             counts = [0] * len(oplan.emitters)
-            obj_invalid = 0
             trackers: dict = {}
             if jobs <= 1:
-                results = (_eval_chunk(chunk, rt) for chunk in _chunks(reader))
+                results = _evaluated(reader, rt.evaluator.evaluate)
                 obj_invalid = _merge_all(results, rt, trackers, counts, violation_sink)
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(
                     max_workers=jobs,
                     initializer=_worker_init,
                     initargs=(plan, oi, colmap, indexes),
                 ) as pool:
-                    results = pool.map(_worker_eval, _chunks(reader), chunksize=1)
+                    results = _pooled(pool, reader, 2 * jobs)
                     obj_invalid = _merge_all(results, rt, trackers, counts, violation_sink)
             total = reader.data_rows_read
         source_rows[oplan.source] = total
@@ -744,25 +597,39 @@ def run(
 
 
 def _merge_all(results, rt: _Runtime, trackers, counts, sink) -> int:
-    """Sequential merge: uniqueness resolution, counting, ordered emission."""
+    """Sequential merge of (ordinal, viols, uvals) results in record
+    order: uniqueness resolution, counting, ordered emission. Returns
+    the number of invalid records."""
     severities = rt.severities
+    unique = [(eidx, trackers.setdefault(eidx, {})) for eidx in rt.unique_eidx]
     invalid = 0
-    for recs in results:
-        for rec in recs:
-            merged = _merge_record(rec, rt, trackers)
-            if not merged:
-                continue
-            ordinal = rec[0]
-            has_error = False
-            for eidx, raw in merged:
-                counts[eidx] += 1
-                if severities[eidx] == "error":
-                    has_error = True
-                if sink is not None:
-                    sink(_lift(rt, eidx, raw, ordinal))
-            if has_error:
-                invalid += 1
+    for ordinal, viols, uvals in results:
+        if viols is None:
+            viols = [(0, "")]  # ragged: the structure emitter alone
+        elif unique:
+            added = False
+            for (eidx, seen), (v, raw) in zip(unique, uvals):
+                if v is not None and seen.setdefault(v, ordinal) != ordinal:
+                    viols.append((eidx, raw))
+                    added = True
+            if added:
+                viols.sort(key=_emitter)
+        if not viols:
+            continue
+        has_error = False
+        for eidx, raw in viols:
+            counts[eidx] += 1
+            if severities[eidx] == "error":
+                has_error = True
+            if sink is not None:
+                sink(_lift(rt, eidx, raw, ordinal))
+        if has_error:
+            invalid += 1
     return invalid
+
+
+def _emitter(violation):
+    return violation[0]
 
 
 def with_flagged(report: QualityReport, path: str, written: int) -> QualityReport:

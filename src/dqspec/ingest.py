@@ -160,7 +160,7 @@ def open_dataset(path: str, dialect: DialectConfig | None = None) -> DatasetRead
 
 
 def _type_descriptor(ftype: ast.FieldType):
-    """(tcode, targ) pair used by parse_cell and the row kernels."""
+    """(tcode, targ) pair used by parse_cell."""
     tcode = TYPE_CODE_BY_NAME[ast.type_name(ftype)]
     if tcode == T_DATE:
         return tcode, compile_date_format(ftype.fmt)

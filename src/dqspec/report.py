@@ -203,6 +203,8 @@ class FlaggedWriter:
     marker row per rule at close."""
 
     def __init__(self, sink, max_per_rule: int | None = None):
+        if max_per_rule is not None and max_per_rule < 0:
+            raise ValueError(f"max_per_rule must not be negative, got {max_per_rule}")
         self._own = isinstance(sink, (str, bytes))
         self._fh = open(sink, "w", encoding="utf-8", newline="") if self._own else sink
         self._writer = csv.writer(self._fh, lineterminator="\n")

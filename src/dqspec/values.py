@@ -1,4 +1,6 @@
-"""Typed cell values and the parsing rules shared by both row kernels.
+"""Typed cell values and the one cell grammar: `parse_cell` parses a
+single cell, and the generated record evaluators (`codegen`) and the
+profiler call the same primitives (`INT_RE`, `DEC_RE`, `parse_date_text`).
 
 A parsed cell is one of:
     None                 null (raw cell matched a null token after trimming)
@@ -25,11 +27,11 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 # int() must not see underscores, unicode digits or stray whitespace,
-# so both kernels validate the grammar before converting.
+# so every parser validates the grammar before converting.
 INT_RE = re.compile(r"[+-]?[0-9]+")
 DEC_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
-# field type codes used by compiled field programs
+# field type codes of compiled plans
 T_TEXT = 0
 T_INTEGER = 1
 T_DECIMAL = 2
@@ -75,12 +77,6 @@ class ParseFailure:
 
     def __hash__(self):
         return hash((self.raw, self.reason))
-
-
-# Row kernels report failed parses with this shared sentinel; the raw
-# cell and reason are recovered from context where a full ParseFailure
-# is needed (see ingest.parse_value).
-PARSE_FAILED = ParseFailure("", "<sentinel>")
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def type_failure_reason(tcode: int, targ) -> str:
 
 
 def parse_cell(raw: str, tcode: int, targ, null_tokens: tuple[str, ...]):
-    """Reference single-cell parser; the row kernels mirror it exactly."""
+    """Reference single-cell parser; generated evaluators parse the same way."""
     t = raw.strip(ASCII_WS)
     if t in null_tokens:
         return None

@@ -2,8 +2,9 @@
 
 Loads entire datasets into memory and checks every rule by its
 definition, with its own cell parsing and three-valued logic. It shares
-no code with the engine or the row kernels (only the AST types), so a
-bug would have to be made twice, in different shapes, to go unnoticed.
+no code with the engine or its generated evaluator (only the AST
+types), so a bug would have to be made twice, in different shapes, to
+go unnoticed.
 """
 
 from __future__ import annotations

@@ -188,3 +188,20 @@ def test_zero_record_dataset_exit_0(tmp_path, capsys):
     assert main(["check", spec]) == 0
     out = capsys.readouterr()
     assert "verdict: PASS" in out.out
+
+
+def test_jobs_below_one_exit_2(tmp_path, capsys):
+    spec, _ = _write_spec(tmp_path, [["a"], ["x"]])
+    for jobs in ("0", "-3"):
+        assert main(["check", spec, "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "at least 1" in err
+
+
+def test_negative_max_flagged_per_rule_exit_2(tmp_path, capsys):
+    spec, _ = _write_spec(tmp_path, [["a"], [""], [""]])
+    flagged = tmp_path / "f.csv"
+    code = main(["check", spec, "--flagged", str(flagged), "--max-flagged-per-rule", "-1"])
+    assert code == 2
+    assert "--max-flagged-per-rule" in capsys.readouterr().err
+    assert not flagged.exists()

@@ -173,3 +173,22 @@ def test_licences_hours_blank_446(licences_corpus):
     hours = header.index("hours")
     assert len(data) == 501
     assert sum(1 for r in data if r[hours] == "") == 446
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    """The byte stream of a fixed (plan, seed) never changes: any edit to
+    the generators must keep drawing the same random numbers."""
+    import hashlib
+
+    want = {
+        "manifest.json": "2b1b706a1d22b59f3ff15a90af6a3ffe10a4f6f22ef14db34a6373201ddb20e8",
+        "regions.csv": "86c57431be14574a9441beccd08677b650e764f561adef8e15b823e1ba9e8fb4",
+        "register.csv": "d0995495399b4b1ce27218bb41e7de296f8445d2cbbd1018427e1b12ff70e1ae",
+        "register.dq": "c4b1a679af82e4af4539253b5a27d7f87794e68d4d2e6919af2d53bf8d1f7eca",
+        "licences/licences.csv": "54948855c90e100419f84b6b3edffb5f6d19abbfa174901167d2df93c494ba50",
+        "licences/manifest.json": "287e43afcbdd322ed8bd90fac4823f7c1148974839c3e4ae102a217706290473",
+    }
+    corpus.generate(_tiny_register(records=300, divisor=400, seed=5), tmp_path)
+    corpus.generate(corpus.licences_plan(), tmp_path / "licences")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

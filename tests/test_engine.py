@@ -351,3 +351,51 @@ def test_oracle_equivalence_quick(tmp_path):
         assert rep.invalid_count == len(want.invalid_ordinals), f"seed {seed}"
         assert rep.invalid_total == want.total_records, f"seed {seed}"
     assert not mismatches, mismatches[:3]
+
+
+def test_jobs_window_bounds_pending_chunks(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from dqspec import report
+
+    rows = [["regcode", "name", "regdate"]]
+    for i in range(200):
+        rows.append([f"{i % 150:011d}", "" if i % 7 == 0 else f"n{i}", f"2001-02-{i % 31 + 1:02d}"])
+    write_csv(tmp_path / "reg.csv", rows)
+    (tmp_path / "s.dq").write_text(
+        "spec s { source reg { path 'reg.csv'; } object reg from reg {"
+        " field regcode text unique; field name text not null;"
+        " field regdate date; rule r: name is not null or regdate is null; } }",
+        encoding="utf-8",
+    )
+    plan, paths = load_plan(tmp_path / "s.dq")
+    monkeypatch.setattr(engine, "CHUNK_RECORDS", 8)
+
+    outstanding = set()
+    peak = [0]
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(self, fn, *args, **kwargs):
+        fut = real_submit(self, fn, *args, **kwargs)
+        outstanding.add(fut)
+        peak[0] = max(peak[0], len(outstanding))
+        real_result = fut.result
+
+        def result(timeout=None):
+            outstanding.discard(fut)
+            return real_result(timeout)
+
+        fut.result = result
+        return fut
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+
+    outputs = []
+    for jobs in (1, 2):
+        flagged = tmp_path / "flagged.csv"
+        writer = report.FlaggedWriter(str(flagged))
+        rep = engine.run(plan, paths, jobs=jobs, violation_sink=writer.write)
+        rep = engine.with_flagged(rep, str(flagged), writer.close())
+        outputs.append((report.render_json(rep), flagged.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert 0 < peak[0] <= 2 * 2

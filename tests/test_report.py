@@ -4,6 +4,8 @@ import io
 import random
 from fractions import Fraction
 
+import pytest
+
 from dqspec import engine, report
 from dqspec.engine import QualityReport, RuleStat, ThresholdVerdict, Violation
 from helpers import load_plan, write_csv
@@ -172,6 +174,8 @@ def test_flagged_cap_and_marker(tmp_path):
     marker = rows[-1]
     assert marker["record"] == "" and marker["severity"] == "info"
     assert "truncated: 3 more violations" in marker["message"]
+    with pytest.raises(ValueError):
+        report.FlaggedWriter(io.StringIO(), max_per_rule=-1)
 
 
 def test_flagged_row_count_equals_multiplicities(tmp_path, small_register_corpus):

@@ -1,6 +1,5 @@
-"""Typed cell parsing and the two row kernels' exact agreement."""
+"""Typed cell parsing: the single cell grammar in `dqspec.values`."""
 
-import random
 from datetime import date
 from decimal import Decimal
 
@@ -10,9 +9,7 @@ from hypothesis import strategies as st
 
 from dqspec import values
 from dqspec.ingest import DialectConfig, ParseFailure, parse_value
-from dqspec.kernel import available_kernels
 from dqspec.lang import ast
-from helpers import child_env
 
 INT = ast.IntegerType()
 DEC = ast.DecimalType()
@@ -99,98 +96,3 @@ def test_date_format_compile_errors():
     for bad in ("YYYY-MM", "YYYY-MM-DD-DD", "YYMMDD", "YYYY.MY.DD"):
         with pytest.raises(ValueError):
             values.compile_date_format(bad)
-
-
-# --------------------------------------------------------- kernel differential
-
-
-def _rand_program(rng: random.Random):
-    fields = []
-    n = rng.randrange(1, 5)
-    eidx = 1
-    for col in range(n):
-        tcode = rng.choice(
-            [values.T_TEXT, values.T_INTEGER, values.T_DECIMAL, values.T_DATE, values.T_ENUM]
-        )
-        targ = None
-        if tcode == values.T_DATE:
-            targ = values.compile_date_format(rng.choice(["YYYY-MM-DD", "DD.MM.YYYY"]))
-        elif tcode == values.T_ENUM:
-            targ = frozenset({"a", "b", "riga"})
-        type_eidx = eidx
-        eidx += 1
-        cons = []
-        for _ in range(rng.randrange(0, 3)):
-            code = rng.choice(
-                [values.C_NOT_NULL, values.C_MATCHES, values.C_MIN, values.C_MAX,
-                 values.C_MINLEN, values.C_MAXLEN, values.C_IN_REF]
-            )
-            if code == values.C_MATCHES:
-                if tcode not in (values.T_TEXT, values.T_ENUM):
-                    continue
-                import re
-
-                arg = re.compile(rng.choice(["[a-z]+", "[0-9]{2}", "x.*"]))
-            elif code in (values.C_MIN, values.C_MAX):
-                if tcode == values.T_INTEGER:
-                    arg = rng.randrange(-100, 100)
-                elif tcode == values.T_DECIMAL:
-                    arg = Decimal(rng.randrange(-1000, 1000)) / 10
-                elif tcode == values.T_DATE:
-                    arg = date(2015, 1, 1)
-                else:
-                    continue
-            elif code in (values.C_MINLEN, values.C_MAXLEN):
-                if tcode not in (values.T_TEXT, values.T_ENUM):
-                    continue
-                arg = rng.randrange(0, 8)
-            elif code == values.C_IN_REF:
-                arg = frozenset({"riga", "a", "42"})
-            else:
-                arg = None
-            cons.append((code, eidx, arg))
-            eidx += 1
-        null_tokens = rng.choice([("",), ("", "NA")])
-        fields.append((col, tcode, targ, null_tokens, type_eidx, tuple(cons)))
-    return tuple(fields), n
-
-
-_CELL_POOL = [
-    "", " ", "NA", "0", "007", "-1", "+99", "1.5", ".5", "5.", "abc", "riga",
-    "2020-02-29", "2021-02-29", "01.02.2003", "x", "42", "1_0", "  13 ",
-    "9223372036854775808", "-9223372036854775808", "b", "ž", "12a",
-]
-
-
-def test_kernel_env_override_forces_python():
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "from dqspec.kernel import KERNEL_NAME; print(KERNEL_NAME)"],
-        env=child_env(DQSPEC_KERNEL="python"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python", f"exit {out.returncode}: {out.stderr}"
-
-
-@pytest.mark.skipif(len(available_kernels()) < 2, reason="compiled kernel not built")
-def test_kernels_agree_exactly():
-    kernels = available_kernels()
-    py = kernels["python"].eval_fields
-    cy = kernels["compiled"].eval_fields
-    for seed in range(400):
-        rng = random.Random(seed)
-        prog, width = _rand_program(rng)
-        cells = [rng.choice(_CELL_POOL) for _ in range(width)]
-        got_py = py(cells, prog)
-        got_cy = cy(cells, prog)
-        assert got_py[1] == got_cy[1], f"seed {seed}: violations differ"
-        vp, vc = got_py[0], got_cy[0]
-        assert len(vp) == len(vc)
-        for a, b in zip(vp, vc):
-            if a is values.PARSE_FAILED or b is values.PARSE_FAILED:
-                assert a is b, f"seed {seed}: parse-failure disagreement"
-            else:
-                assert a == b and type(a) is type(b), f"seed {seed}: value disagreement"
