@@ -18,8 +18,8 @@ source holds nothing but identifiers, operators and integer emitter
 indexes, so the same plan always gives the same text, whatever its
 literals contain.
 
-Integer, decimal and date parses are memoised per field in a dict of
-at most MEMO_CAP entries; once full, a memo stops taking new texts.
+Date parses are memoised per field in a dict of at most MEMO_CAP
+entries; once full, a memo stops taking new texts.
 """
 
 from __future__ import annotations
@@ -38,38 +38,37 @@ from .values import (
     C_MINLEN,
     C_NOT_NULL,
     DEC_RE,
-    INT64_MAX,
-    INT64_MIN,
-    INT_RE,
     T_DATE,
     T_DECIMAL,
     T_ENUM,
     T_INTEGER,
     compile_date_format,
     parse_date_text,
+    parse_int,
 )
 
-MEMO_CAP = 16_384  # distinct texts remembered per memoised field
+MEMO_CAP = 16_384  # distinct texts remembered per date field
 
 _MISS = object()
 
 # names the factory receives, in order; apart from builtins the generated
 # code uses no others
 _FACTORY_ARGS = (
-    "K", "D", "PICK", "MISS", "CAP", "WS", "INT64_MIN", "INT64_MAX",
-    "INT_RE", "DEC_RE", "Decimal", "parse_date_text",
+    "K", "D", "PICK", "MISS", "CAP", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int",
 )
 
 _CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _PARSERS = {
-    T_INTEGER: (
-        "v{i} = int(t) if INT_RE.fullmatch(t) is not None else None",
-        "if v{i} is not None and not INT64_MIN <= v{i} <= INT64_MAX:",
-        "    v{i} = None",
-    ),
+    T_INTEGER: ("v{i} = parse_int(t)",),
     T_DECIMAL: ("v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",),
-    T_DATE: ("v{i} = parse_date_text(t, {fmt})",),
+    T_DATE: (
+        "v{i} = g{i}(t, MISS)",
+        "if v{i} is MISS:",
+        "    v{i} = parse_date_text(t, {fmt})",
+        "    if len(d{i}) < CAP:",
+        "        d{i}[t] = v{i}",
+    ),
 }
 
 
@@ -192,9 +191,7 @@ def _field(src: _Source, i: int, fs, kept: bool, nulls: str, vspec, indexes) -> 
         fmt = ""
         if fs.tcode == T_DATE:
             fmt = src.const(vspec.date_formats.get(fs.targ_key) or compile_date_format(fs.targ_key))
-        parse = [line.format(i=i, fmt=fmt) for line in _PARSERS[fs.tcode]]
-        present = [f"v{i} = g{i}(t, MISS)", f"if v{i} is MISS:"]
-        present += _indent(parse + [f"if len(d{i}) < CAP:", f"    d{i}[t] = v{i}"])
+        present = [line.format(i=i, fmt=fmt) for line in _PARSERS[fs.tcode]]
         present += [f"if v{i} is None:", "    " + type_viol]
         checks = _checks(src, fs, f"v{i}", raw, indexes)
         if checks:
@@ -231,7 +228,7 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
         rules.append(f"    viols.append(({eidx}, ''))")
     keep = src.read | {i for i, fs in enumerate(fields) if fs.unique_eidx is not None}
     nulls = src.const(vspec.source_map[oplan.source].null_tokens)
-    memoised = [i for i, fs in enumerate(fields) if fs.tcode in _PARSERS]
+    memoised = [i for i, fs in enumerate(fields) if fs.tcode == T_DATE]
 
     body = ["viols = []"]
     raws = [f"r{i}" for i in range(len(fields))]
@@ -259,11 +256,11 @@ class Evaluator:
     def __init__(self, oplan, vspec, colmap: list[int], indexes):
         self.source, constants = generate_source(oplan, vspec, indexes)
         self.constants = tuple(constants)
-        self.memos = [{} for fs in oplan.fields if fs.tcode in _PARSERS]
+        self.memos = [{} for fs in oplan.fields if fs.tcode == T_DATE]
         pick = itemgetter(*colmap) if colmap else None
         namespace: dict = {}
         exec(compile(self.source, f"<dqspec evaluator {oplan.name}>", "exec"), namespace)
         self.evaluate = namespace["_bind"](
             self.constants, self.memos, pick, _MISS, MEMO_CAP, ASCII_WS,
-            INT64_MIN, INT64_MAX, INT_RE, DEC_RE, Decimal, parse_date_text,
+            DEC_RE, Decimal, parse_date_text, parse_int,
         )

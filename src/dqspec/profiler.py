@@ -18,7 +18,7 @@ from .ingest import DatasetReader
 from .lang import ast
 from .lang.formatter import format_field_decl
 from .lang.lexer import KEYWORDS, escape_string
-from .values import ASCII_WS, DEC_RE, INT64_MAX, INT64_MIN, INT_RE, parse_date_text, compile_date_format
+from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int, compile_date_format
 
 DATE_PRESETS = ("YYYY-MM-DD", "DD.MM.YYYY", "DD/MM/YYYY")
 _PRESET_FORMATS = tuple(compile_date_format(f) for f in DATE_PRESETS)
@@ -82,12 +82,11 @@ class _ColumnAcc:
             if len(self.values) > self.cap:
                 self.capped = True
         typed = False
-        if INT_RE.fullmatch(t):
-            v = int(t)
-            if INT64_MIN <= v <= INT64_MAX:
-                p.integers += 1
-                typed = True
-                self._minmax("integer", v)
+        v = parse_int(t)
+        if v is not None:
+            p.integers += 1
+            typed = True
+            self._minmax("integer", v)
         if DEC_RE.fullmatch(t):
             v = Decimal(t)
             p.decimals += 1

@@ -1,6 +1,6 @@
 """Typed cell values and the one cell grammar: `parse_cell` parses a
 single cell, and the generated record evaluators (`codegen`) and the
-profiler call the same primitives (`INT_RE`, `DEC_RE`, `parse_date_text`).
+profiler call the same primitives (`parse_int`, `DEC_RE`, `parse_date_text`).
 
 A parsed cell is one of:
     None                 null (raw cell matched a null token after trimming)
@@ -27,8 +27,9 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 # int() must not see underscores, unicode digits or stray whitespace,
-# so every parser validates the grammar before converting.
-INT_RE = re.compile(r"[+-]?[0-9]+")
+# so every parser validates the grammar before converting. A 64-bit
+# integer has at most 19 digits after its leading zeros (group 2).
+INT_RE = re.compile(r"([+-]?)0*([0-9]{1,19})")
 DEC_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 # field type codes of compiled plans
@@ -175,6 +176,17 @@ def type_failure_reason(tcode: int, targ) -> str:
     raise AssertionError(f"type code {tcode} cannot fail")
 
 
+def parse_int(t: str) -> int | None:
+    """The signed 64-bit integer that `t` spells, or None. int() sees the
+    sign and at most 19 digits, never a text past CPython's limit on the
+    length of an integer string (4,300 digits)."""
+    m = INT_RE.fullmatch(t)
+    if m is None:
+        return None
+    v = int(m[1] + m[2])
+    return v if INT64_MIN <= v <= INT64_MAX else None
+
+
 def parse_cell(raw: str, tcode: int, targ, null_tokens: tuple[str, ...]):
     """Reference single-cell parser; generated evaluators parse the same way."""
     t = raw.strip(ASCII_WS)
@@ -183,11 +195,9 @@ def parse_cell(raw: str, tcode: int, targ, null_tokens: tuple[str, ...]):
     if tcode == T_TEXT:
         return t
     if tcode == T_INTEGER:
-        if INT_RE.fullmatch(t) is None:
+        v = parse_int(t)
+        if v is None:
             return ParseFailure(raw, type_failure_reason(tcode, targ))
-        v = int(t)
-        if v < INT64_MIN or v > INT64_MAX:
-            return ParseFailure(raw, "integer out of 64-bit range")
         return v
     if tcode == T_DECIMAL:
         if DEC_RE.fullmatch(t) is None:

@@ -52,7 +52,10 @@ def _parse_int(t: str):
     body = t[1:] if t[:1] in "+-" else t
     if not body or any(c not in DIGITS for c in body):
         return None
-    v = int(t)
+    digits = body.lstrip("0") or "0"  # int() refuses texts of over 4,300 digits
+    if len(digits) > 19:
+        return None
+    v = -int(digits) if t[:1] == "-" else int(digits)
     if v < -(2**63) or v > 2**63 - 1:
         return None
     return v

@@ -1,11 +1,13 @@
 """The generated record evaluator: spec literals never reach its source,
-its parse memos stay bounded, and it agrees with the independent oracle."""
+its date memos stay bounded, and it agrees with the independent oracle."""
 
 from datetime import date, timedelta
 
-from dqspec import codegen, engine
+from dqspec import codegen, engine, profiler
+from dqspec.ingest import open_dataset
 from dqspec.lang import check_spec, parse_spec
 from dqspec.lang.lexer import escape_string
+from dqspec.values import T_INTEGER, ParseFailure, parse_cell
 from helpers import violations_by_rule, write_csv
 from naive_oracle import naive_evaluate
 
@@ -122,10 +124,52 @@ def test_memo_stays_capped_and_results_match_the_oracle(tmp_path, monkeypatch):
     viols = []
     report = engine.run(plan, paths, violation_sink=viols.append)
     (ev,) = built
-    assert [len(m) for m in ev.memos] == [codegen.MEMO_CAP] * 4
+    assert [len(m) for m in ev.memos] == [codegen.MEMO_CAP] * 2  # the date fields d and e
     got = violations_by_rule(viols)
     want = naive_evaluate(spec, paths)
     for rid in set(got) | set(want.rule_ordinals):
         assert got.get(rid, set()) == want.ordinals(rid), rid
     assert report.invalid_count == len(want.invalid_ordinals)
     assert got["t.d.type"] and got["t.d.max"] and got["t.e.unique"] and got["t.r"]
+
+
+LONG_SPEC = """
+spec s {
+  source t { path 't.csv'; }
+  object t from t {
+    field n integer min 0;
+    field x decimal;
+    rule r: n > 5 or x is null;
+  }
+}
+"""
+
+# int() refuses texts of over 4,300 digits; the second and fourth are 64-bit values
+LONG_INTS = ["1" * 5000, "0" * 5000 + "7", "-" + "9" * 4301, "0" * 30 + "9223372036854775807"]
+
+
+def test_integers_past_the_int_text_limit_are_type_violations(tmp_path):
+    texts = LONG_INTS + ["12", "99999999999999999999"]
+    rows = [["n", "x"]] + [[n, x] for n in texts for x in ("", "1." + "5" * 5000)]
+    paths = {"t": write_csv(tmp_path / "t.csv", rows)}
+    spec = parse_spec(LONG_SPEC)
+    plan = engine.compile_plan(check_spec(spec))
+    viols = []
+    report = engine.run(plan, paths, violation_sink=viols.append)
+    got = violations_by_rule(viols)
+    want = naive_evaluate(spec, paths)
+    for rid in set(got) | set(want.rule_ordinals):
+        assert got.get(rid, set()) == want.ordinals(rid), rid
+    assert report.invalid_count == len(want.invalid_ordinals)
+    # two rows per text: '1'*5000, '-9'*4301 and the 20-digit text fail as
+    # integers; '0'*5000 + '7' and zero-led INT64_MAX parse
+    assert got["t.n.type"] == {1, 2, 5, 6, 11, 12}
+    assert parse_cell(LONG_INTS[1], T_INTEGER, None, ("",)) == 7
+    assert isinstance(parse_cell(LONG_INTS[0], T_INTEGER, None, ("",)), ParseFailure)
+
+
+def test_profiler_counts_long_integer_texts_as_non_integers(tmp_path):
+    path = write_csv(tmp_path / "d.csv", [["n"]] + [[n] for n in LONG_INTS])
+    with open_dataset(path) as reader:
+        (prof,) = profiler.profile(reader)
+    assert prof.integers == 2 and prof.minmax["integer"] == (7, 2**63 - 1)
