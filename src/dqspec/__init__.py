@@ -16,20 +16,15 @@ from .engine import (
     Violation,
     build_lookup_index,
     compile_plan,
-    evaluate_record,
     finalize_aggregates,
     run,
 )
 from .ingest import (
     DataError,
-    DataObjectInstance,
     DatasetReader,
     DialectConfig,
     HeaderMissingColumn,
-    ParseFailure,
     open_dataset,
-    parse_value,
-    project_object,
 )
 from .lang import (
     SpecEncodingError,
@@ -50,12 +45,9 @@ __all__ = [
     "format_spec",
     "compile_plan",
     "run",
-    "evaluate_record",
     "finalize_aggregates",
     "build_lookup_index",
     "open_dataset",
-    "parse_value",
-    "project_object",
     "CheckPlan",
     "QualityReport",
     "RuleStat",
@@ -65,8 +57,6 @@ __all__ = [
     "ValidatedSpec",
     "DialectConfig",
     "DatasetReader",
-    "DataObjectInstance",
-    "ParseFailure",
     "DataError",
     "HeaderMissingColumn",
     "SpecSyntaxError",

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--no-header", action="store_true")
     f.add_argument("--null-token", action="append", default=[], metavar="S")
     f.add_argument("--report", choices=["text", "json"], default="text")
-    f.add_argument("--top", type=int, default=10)
+    f.add_argument("--top", type=_int_at_least(0), default=10)
     f.add_argument("--suggest", metavar="OUT.dq", help="write a draft specification")
     f.add_argument("--source-name", default=None)
     f.set_defaults(fn=_cmd_profile)

@@ -5,8 +5,10 @@ returns `evaluate(cells) -> (viols, uvals)`: straight-line code that,
 for every field in turn, trims the raw cell, tests it against the null
 tokens, parses it as the declared type and checks the field's stateless
 constraints, then evaluates the record rules in Kleene (three-valued)
-logic and collects the unique-key values. Nothing dispatches on a type
-or constraint code at run time; that choice is made once, here.
+logic and collects the unique-key values. The plan names each field's
+AST type and each constraint's kind (`engine.compile_plan`); this module
+alone turns those names into code, once per plan, so nothing dispatches
+on a type or a constraint kind at run time.
 
 `viols` lists `(emitter index, raw cell)` in emitter order (`""` as the
 cell of a record rule). `uvals` holds one `(value, raw cell)` pair per
@@ -28,24 +30,7 @@ from decimal import Decimal
 from operator import itemgetter
 
 from .lang import ast
-from .values import (
-    ASCII_WS,
-    C_IN_REF,
-    C_MATCHES,
-    C_MAX,
-    C_MAXLEN,
-    C_MIN,
-    C_MINLEN,
-    C_NOT_NULL,
-    DEC_RE,
-    T_DATE,
-    T_DECIMAL,
-    T_ENUM,
-    T_INTEGER,
-    compile_date_format,
-    parse_date_text,
-    parse_int,
-)
+from .values import ASCII_WS, DEC_RE, compile_date_format, parse_date_text, parse_int
 
 MEMO_CAP = 16_384  # distinct texts remembered per date field
 
@@ -59,10 +44,11 @@ _FACTORY_ARGS = (
 
 _CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
+# typed parse, by AST type, of the field types whose value is not their text
 _PARSERS = {
-    T_INTEGER: ("v{i} = parse_int(t)",),
-    T_DECIMAL: ("v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",),
-    T_DATE: (
+    ast.IntegerType: ("v{i} = parse_int(t)",),
+    ast.DecimalType: ("v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",),
+    ast.DateType: (
         "v{i} = g{i}(t, MISS)",
         "if v{i} is MISS:",
         "    v{i} = parse_date_text(t, {fmt})",
@@ -162,18 +148,18 @@ def _checks(src: _Source, fs, value: str, raw: str, indexes) -> list[str]:
     """Stateless constraints of a present, well-typed cell; `t` holds
     its trimmed text and `value` names its typed value."""
     lines = []
-    for ccode, eidx, arg in fs.constraints:
-        if ccode == C_NOT_NULL:
+    for kind, eidx, arg in fs.constraints:
+        if kind == "not_null":
             continue  # the value is present
-        k = src.const(indexes[arg[1:]].values if ccode == C_IN_REF else arg)
+        k = src.const(indexes[arg].values if kind == "in_reference" else arg)
         test = {
-            C_MATCHES: f"{k}.fullmatch(t) is None",
-            C_MIN: f"{value} < {k}",
-            C_MAX: f"{value} > {k}",
-            C_MINLEN: f"len(t) < {k}",
-            C_MAXLEN: f"len(t) > {k}",
-            C_IN_REF: f"t not in {k}",
-        }[ccode]
+            "matches": f"{k}.fullmatch(t) is None",
+            "min": f"{value} < {k}",
+            "max": f"{value} > {k}",
+            "minlen": f"len(t) < {k}",
+            "maxlen": f"len(t) > {k}",
+            "in_reference": f"t not in {k}",
+        }[kind]
         lines += [f"if {test}:", f"    viols.append(({eidx}, {raw}))"]
     return lines
 
@@ -184,22 +170,23 @@ def _field(src: _Source, i: int, fs, kept: bool, nulls: str, vspec, indexes) -> 
     raw = f"r{i}"
     on_null = [f"v{i} = None"] if kept else []
     on_null += [
-        f"viols.append(({eidx}, {raw}))" for ccode, eidx, _a in fs.constraints if ccode == C_NOT_NULL
+        f"viols.append(({eidx}, {raw}))" for kind, eidx, _a in fs.constraints if kind == "not_null"
     ]
     type_viol = f"viols.append(({fs.type_eidx}, {raw}))"
-    if fs.tcode in _PARSERS:
+    ftype = fs.ftype
+    if type(ftype) in _PARSERS:
         fmt = ""
-        if fs.tcode == T_DATE:
-            fmt = src.const(vspec.date_formats.get(fs.targ_key) or compile_date_format(fs.targ_key))
-        present = [line.format(i=i, fmt=fmt) for line in _PARSERS[fs.tcode]]
+        if isinstance(ftype, ast.DateType):
+            fmt = src.const(vspec.date_formats.get(ftype.fmt) or compile_date_format(ftype.fmt))
+        present = [line.format(i=i, fmt=fmt) for line in _PARSERS[type(ftype)]]
         present += [f"if v{i} is None:", "    " + type_viol]
         checks = _checks(src, fs, f"v{i}", raw, indexes)
         if checks:
             present += ["else:"] + _indent(checks)
     else:
         present = ([f"v{i} = t"] if kept else []) + _checks(src, fs, "t", raw, indexes)
-        if fs.tcode == T_ENUM:
-            members = src.const(frozenset(fs.targ_key))
+        if isinstance(ftype, ast.EnumType):
+            members = src.const(frozenset(ftype.values))
             if present:
                 failed = ([f"v{i} = None"] if kept else []) + [type_viol]
                 present = [f"if t in {members}:"] + _indent(present) + ["else:"] + _indent(failed)
@@ -228,7 +215,7 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
         rules.append(f"    viols.append(({eidx}, ''))")
     keep = src.read | {i for i, fs in enumerate(fields) if fs.unique_eidx is not None}
     nulls = src.const(vspec.source_map[oplan.source].null_tokens)
-    memoised = [i for i, fs in enumerate(fields) if fs.tcode == T_DATE]
+    memoised = [i for i, fs in enumerate(fields) if isinstance(fs.ftype, ast.DateType)]
 
     body = ["viols = []"]
     raws = [f"r{i}" for i in range(len(fields))]
@@ -256,7 +243,7 @@ class Evaluator:
     def __init__(self, oplan, vspec, colmap: list[int], indexes):
         self.source, constants = generate_source(oplan, vspec, indexes)
         self.constants = tuple(constants)
-        self.memos = [{} for fs in oplan.fields if fs.tcode == T_DATE]
+        self.memos = [{} for fs in oplan.fields if isinstance(fs.ftype, ast.DateType)]
         pick = itemgetter(*colmap) if colmap else None
         namespace: dict = {}
         exec(compile(self.source, f"<dqspec evaluator {oplan.name}>", "exec"), namespace)

@@ -28,31 +28,9 @@ from .codegen import Evaluator
 from .ingest import DataError, DatasetReader, dialect_from_source, open_dataset
 from .lang import ast
 from .lang.checker import ValidatedSpec
-from .values import (
-    ASCII_WS,
-    C_IN_REF,
-    C_MATCHES,
-    C_MAX,
-    C_MAXLEN,
-    C_MIN,
-    C_MINLEN,
-    C_NOT_NULL,
-    T_DATE,
-    T_ENUM,
-    TYPE_CODE_BY_NAME,
-)
+from .values import ASCII_WS, format_decimal
 
 CHUNK_RECORDS = 4096  # records per chunk at jobs > 1; fixed, so chunks never depend on the worker count
-
-_CONSTRAINT_CODE = {
-    "not_null": C_NOT_NULL,
-    "matches": C_MATCHES,
-    "min": C_MIN,
-    "max": C_MAX,
-    "minlen": C_MINLEN,
-    "maxlen": C_MAXLEN,
-    "in_reference": C_IN_REF,
-}
 
 
 # ------------------------------------------------------------------ data model
@@ -87,18 +65,14 @@ class LookupIndex:
     values: frozenset
     rows_scanned: int
 
-    def __contains__(self, item):
-        return item in self.values
-
 
 @dataclass(frozen=True)
 class _FieldSpec:
     name: str
     column: object  # str | int | None (None: bind by field name)
-    tcode: int
-    targ_key: object  # date fmt string, enum value tuple, or None
+    ftype: ast.FieldType
     type_eidx: int
-    constraints: tuple  # (ccode, eidx, arg) with in_reference arg symbolic
+    constraints: tuple  # (kind, eidx, arg) per stateless constraint; see compile_plan
     unique_eidx: int | None
 
 
@@ -209,13 +183,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
         )
         ref_needs: list[tuple[str, str]] = []
         for f in obj.fields:
-            tname = ast.type_name(f.ftype)
-            tcode = TYPE_CODE_BY_NAME[tname]
-            targ_key: object = None
-            if tcode == T_DATE:
-                targ_key = f.ftype.fmt
-            elif tcode == T_ENUM:
-                targ_key = f.ftype.values
             type_eidx = len(emitters)
             emitters.append(
                 EmitterMeta(
@@ -225,7 +192,7 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                     kind="type",
                     dimension="validity",
                     severity="error",
-                    message=_type_message(tcode, f.ftype),
+                    message=_type_message(f.ftype),
                     is_evaluator=False,
                 )
             )
@@ -248,24 +215,22 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 if c.kind == "unique":
                     unique_eidx = eidx
                     continue
+                # arg: the (source, column) of in_reference, the compiled
+                # pattern of matches, the literal's value of min and max,
+                # the length of minlen and maxlen, None for not_null
+                arg = c.arg
                 if c.kind == "in_reference":
-                    src, col = c.arg
-                    ref_needs.append((src, col))
-                    kcons.append((C_IN_REF, eidx, ("__ref__", src, col)))
+                    ref_needs.append(arg)
                 elif c.kind == "matches":
-                    kcons.append((C_MATCHES, eidx, vspec.patterns[c.arg]))
+                    arg = vspec.patterns[arg]
                 elif c.kind in ("min", "max"):
-                    kcons.append((_CONSTRAINT_CODE[c.kind], eidx, c.arg.value))
-                elif c.kind in ("minlen", "maxlen"):
-                    kcons.append((_CONSTRAINT_CODE[c.kind], eidx, c.arg))
-                else:  # not_null
-                    kcons.append((C_NOT_NULL, eidx, None))
+                    arg = arg.value
+                kcons.append((c.kind, eidx, arg))
             fields.append(
                 _FieldSpec(
                     name=f.name,
                     column=f.column,
-                    tcode=tcode,
-                    targ_key=targ_key,
+                    ftype=f.ftype,
                     type_eidx=type_eidx,
                     constraints=tuple(kcons),
                     unique_eidx=unique_eidx,
@@ -300,20 +265,20 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
     return CheckPlan(spec=vspec, objects=tuple(objects), thresholds=vspec.ast.thresholds)
 
 
-def _type_message(tcode: int, ftype) -> str:
-    if tcode == T_DATE:
+def _type_message(ftype: ast.FieldType) -> str:
+    if isinstance(ftype, ast.DateType):
         return f"value is not a date in format {ftype.fmt}"
-    if tcode == T_ENUM:
+    if isinstance(ftype, ast.EnumType):
         allowed = ", ".join(ftype.values)
         return f"value is not one of: {allowed}"
-    return {1: "value is not a 64-bit integer", 2: "value is not a decimal number"}.get(
-        tcode, "value does not parse"
-    )
+    if isinstance(ftype, ast.IntegerType):
+        return "value is not a 64-bit integer"
+    if isinstance(ftype, ast.DecimalType):
+        return "value is not a decimal number"
+    return "value does not parse"
 
 
 def _constraint_message(c: ast.FieldConstraint) -> str:
-    from .values import format_decimal
-
     if c.kind == "not_null":
         return "null value"
     if c.kind == "matches":
@@ -440,32 +405,6 @@ def build_lookup_index(reader: DatasetReader, column: str | int, source_name: st
     )
 
 
-def evaluate_record(instance, plan: CheckPlan, indexes=None, object_name: str | None = None, trackers=None):
-    """Evaluate one projected record; returns violations in emitter order.
-
-    Uniqueness needs cross-record state: pass the same `trackers` dict
-    across calls in record order to get duplicate attribution.
-    """
-    oplan = _object_plan(plan, object_name)
-    cells = [instance.values[fs.name][0] for fs in oplan.fields]
-    colmap = list(range(len(oplan.fields)))
-    rt = _Runtime(oplan, plan.spec, colmap, indexes or {})
-    out: list[Violation] = []
-    results = _evaluated([(instance.record_ordinal, cells, False)], rt.evaluator.evaluate)
-    counts = [0] * len(oplan.emitters)
-    _merge_all(results, rt, trackers if trackers is not None else {}, counts, out.append)
-    return out
-
-
-def _object_plan(plan: CheckPlan, object_name: str | None) -> ObjectPlan:
-    if object_name is None:
-        return plan.objects[0]
-    for o in plan.objects:
-        if o.name == object_name:
-            return o
-    raise KeyError(object_name)
-
-
 def _lift(rt: _Runtime, eidx: int, raw: str, ordinal: int) -> Violation:
     m = rt.metas[eidx]
     return Violation(
@@ -549,10 +488,9 @@ def run(
             colmap = _resolve_columns(oplan, reader)
             rt = _Runtime(oplan, vspec, colmap, indexes)
             counts = [0] * len(oplan.emitters)
-            trackers: dict = {}
             if jobs <= 1:
                 results = _evaluated(reader, rt.evaluator.evaluate)
-                obj_invalid = _merge_all(results, rt, trackers, counts, violation_sink)
+                obj_invalid = _merge_all(results, rt, counts, violation_sink)
             else:
                 from concurrent.futures import ProcessPoolExecutor
 
@@ -562,7 +500,7 @@ def run(
                     initargs=(plan, oi, colmap, indexes),
                 ) as pool:
                     results = _pooled(pool, reader, 2 * jobs)
-                    obj_invalid = _merge_all(results, rt, trackers, counts, violation_sink)
+                    obj_invalid = _merge_all(results, rt, counts, violation_sink)
             total = reader.data_rows_read
         source_rows[oplan.source] = total
         invalid_count += obj_invalid
@@ -596,12 +534,12 @@ def run(
     )
 
 
-def _merge_all(results, rt: _Runtime, trackers, counts, sink) -> int:
+def _merge_all(results, rt: _Runtime, counts, sink) -> int:
     """Sequential merge of (ordinal, viols, uvals) results in record
     order: uniqueness resolution, counting, ordered emission. Returns
     the number of invalid records."""
     severities = rt.severities
-    unique = [(eidx, trackers.setdefault(eidx, {})) for eidx in rt.unique_eidx]
+    unique = [(eidx, {}) for eidx in rt.unique_eidx]
     invalid = 0
     for ordinal, viols, uvals in results:
         if viols is None:

@@ -1,9 +1,11 @@
-"""CSV ingestion: dialect handling, typed cell parsing and projection of
-records onto the analyzed fields.
+"""CSV ingestion: dialects and the forward reader over one CSV file.
 
 Readers are forward-only, stream one record at a time and deliver dense
 1-based record ordinals. Rows whose cell count disagrees with the
-declared width are surfaced as ragged records, never as exceptions.
+declared width, a blank line among them, are surfaced as ragged records,
+never as exceptions. Input that is not CSV at all (a quote left open at
+the end of the file, text after a closing quote, a field longer than
+csv's limit of 131,072 characters) or not UTF-8 raises DataError.
 """
 
 from __future__ import annotations
@@ -13,15 +15,6 @@ import os
 from dataclasses import dataclass
 
 from .lang import ast
-from .values import (
-    ASCII_WS,
-    T_DATE,
-    T_ENUM,
-    TYPE_CODE_BY_NAME,
-    ParseFailure,
-    compile_date_format,
-    parse_cell,
-)
 
 
 class DataError(Exception):
@@ -55,14 +48,6 @@ def dialect_from_source(src: ast.SourceDecl) -> DialectConfig:
     )
 
 
-@dataclass(frozen=True)
-class DataObjectInstance:
-    """One record projected onto the analyzed fields only."""
-
-    record_ordinal: int
-    values: dict[str, tuple[str, object]]  # field -> (raw cell, typed value)
-
-
 class DatasetReader:
     """Single-consumer forward reader over one CSV file.
 
@@ -80,8 +65,10 @@ class DatasetReader:
             self._fh = open(path, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise DataError(f"cannot open dataset {path!r}: {exc}") from None
+        # strict: an unclosed quote or text after a closing quote raises
+        # csv.Error instead of being read as some other record
         self._rows = csv.reader(
-            self._fh, delimiter=dialect.delimiter, quotechar=dialect.quote
+            self._fh, delimiter=dialect.delimiter, quotechar=dialect.quote, strict=True
         )
         self.header: list[str] | None = None
         self.width: int | None = None
@@ -92,7 +79,12 @@ class DatasetReader:
         except StopIteration:
             first = None
         except UnicodeDecodeError as exc:
+            self.close()
             raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+        except csv.Error as exc:
+            self.close()
+            where = "the header" if dialect.has_header else "record 1"
+            raise DataError(f"{path}: malformed CSV in {where}: {exc}") from None
         if dialect.has_header:
             self.header = first
             if first is not None:
@@ -141,6 +133,10 @@ class DatasetReader:
             raise DataError(
                 f"{self.path}: not valid UTF-8 near record {ordinal + 1}: {exc}"
             ) from None
+        except csv.Error as exc:
+            raise DataError(
+                f"{self.path}: malformed CSV in record {ordinal + 1}: {exc}"
+            ) from None
 
     def close(self):
         self._fh.close()
@@ -159,70 +155,11 @@ def open_dataset(path: str, dialect: DialectConfig | None = None) -> DatasetRead
     return DatasetReader(path, dialect or DialectConfig())
 
 
-def _type_descriptor(ftype: ast.FieldType):
-    """(tcode, targ) pair used by parse_cell."""
-    tcode = TYPE_CODE_BY_NAME[ast.type_name(ftype)]
-    if tcode == T_DATE:
-        return tcode, compile_date_format(ftype.fmt)
-    if tcode == T_ENUM:
-        return tcode, frozenset(ftype.values)
-    return tcode, None
-
-
-def parse_value(raw: str, ftype: ast.FieldType, dialect: DialectConfig | None = None):
-    """Parse one raw cell into its typed value; never raises.
-
-    Returns None for null tokens, the typed value on success, or a
-    ParseFailure carrying the raw text and a reason.
-    """
-    dialect = dialect or DialectConfig()
-    tcode, targ = _type_descriptor(ftype)
-    return parse_cell(raw, tcode, targ, dialect.null_tokens)
-
-
-class ObjectProjector:
-    """Binds an ObjectDecl's columns against a reader once, then projects
-    records onto DataObjectInstances."""
-
-    def __init__(self, obj: ast.ObjectDecl, reader: DatasetReader, dialect: DialectConfig | None = None):
-        self.obj = obj
-        self.dialect = dialect or reader.dialect
-        self._slots = []
-        for f in obj.fields:
-            col = reader.resolve(f.column if f.column is not None else f.name)
-            tcode, targ = _type_descriptor(f.ftype)
-            self._slots.append((f.name, col, tcode, targ))
-
-    def project(self, ordinal: int, cells: list[str]) -> DataObjectInstance:
-        values: dict[str, tuple[str, object]] = {}
-        null_tokens = self.dialect.null_tokens
-        for name, col, tcode, targ in self._slots:
-            raw = cells[col]
-            values[name] = (raw, parse_cell(raw, tcode, targ, null_tokens))
-        return DataObjectInstance(record_ordinal=ordinal, values=values)
-
-
-def project_object(
-    record: tuple[int, list[str]],
-    obj: ast.ObjectDecl,
-    reader: DatasetReader,
-    dialect: DialectConfig | None = None,
-) -> DataObjectInstance:
-    """Project one (ordinal, cells) record onto the object's fields."""
-    ordinal, cells = record
-    return ObjectProjector(obj, reader, dialect).project(ordinal, cells)
-
-
 __all__ = [
     "DataError",
     "HeaderMissingColumn",
     "DialectConfig",
-    "DataObjectInstance",
     "DatasetReader",
-    "ObjectProjector",
     "dialect_from_source",
     "open_dataset",
-    "parse_value",
-    "project_object",
-    "ParseFailure",
 ]

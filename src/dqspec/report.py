@@ -248,15 +248,6 @@ class FlaggedWriter:
         return False
 
 
-def write_flagged(violations, sink, max_per_rule: int | None = None) -> int:
-    """Write a violation stream to a CSV protocol; returns rows written
-    (truncation marker rows not included)."""
-    w = FlaggedWriter(sink, max_per_rule=max_per_rule)
-    for v in violations:
-        w.write(v)
-    return w.close()
-
-
 def read_flagged(path: str) -> list[dict]:
     """Read a protocol file back; raw values round-trip exactly."""
     with open(path, "r", encoding="utf-8", newline="") as fh:

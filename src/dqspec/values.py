@@ -1,14 +1,13 @@
-"""Typed cell values and the one cell grammar: `parse_cell` parses a
-single cell, and the generated record evaluators (`codegen`) and the
-profiler call the same primitives (`parse_int`, `DEC_RE`, `parse_date_text`).
+"""Typed cell values and the primitives of the one cell grammar
+(`parse_int`, `DEC_RE`, `parse_date_text`), which the generated record
+evaluators (`codegen`) and the profiler both call.
 
-A parsed cell is one of:
-    None                 null (raw cell matched a null token after trimming)
+A cell that is not null parses to one of:
     str                  text or enum member (trimmed)
     int                  integer, checked against the signed 64-bit range
     decimal.Decimal      exact scaled decimal
     datetime.date        proleptic Gregorian calendar date
-    ParseFailure         raw text does not belong to the declared type
+or does not belong to its declared type, which is a type violation.
 
 Trimming strips ASCII whitespace only; null-token matching and parsing
 see the trimmed text, while violations report the raw untrimmed cell.
@@ -32,53 +31,6 @@ INT64_MAX = 2**63 - 1
 INT_RE = re.compile(r"([+-]?)0*([0-9]{1,19})")
 DEC_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
-# field type codes of compiled plans
-T_TEXT = 0
-T_INTEGER = 1
-T_DECIMAL = 2
-T_DATE = 3
-T_ENUM = 4
-
-# stateless constraint codes (unique is stateful and lives in the engine)
-C_NOT_NULL = 1
-C_MATCHES = 2
-C_MIN = 3
-C_MAX = 4
-C_MINLEN = 5
-C_MAXLEN = 6
-C_IN_REF = 7
-
-TYPE_CODE_BY_NAME = {
-    "text": T_TEXT,
-    "integer": T_INTEGER,
-    "decimal": T_DECIMAL,
-    "date": T_DATE,
-    "enum": T_ENUM,
-}
-
-
-class ParseFailure:
-    """A cell whose raw text does not parse as the declared field type."""
-
-    __slots__ = ("raw", "reason")
-
-    def __init__(self, raw: str, reason: str):
-        self.raw = raw
-        self.reason = reason
-
-    def __repr__(self):
-        return f"ParseFailure({self.raw!r}, {self.reason!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParseFailure)
-            and other.raw == self.raw
-            and other.reason == self.reason
-        )
-
-    def __hash__(self):
-        return hash((self.raw, self.reason))
-
 
 @dataclass(frozen=True)
 class DateFormat:
@@ -90,9 +42,6 @@ class DateFormat:
     m_off: int
     d_off: int
     literals: tuple[tuple[int, str], ...]
-
-
-ISO_FORMAT_SPEC = "YYYY-MM-DD"
 
 
 def compile_date_format(spec: str) -> DateFormat:
@@ -135,8 +84,6 @@ def compile_date_format(spec: str) -> DateFormat:
     return DateFormat(spec, pos, y_off, m_off, d_off, tuple(literals))
 
 
-ISO_FORMAT = compile_date_format(ISO_FORMAT_SPEC)
-
 _DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -164,18 +111,6 @@ def parse_date_text(t: str, df: DateFormat) -> date | None:
     return date(y, m, d)
 
 
-def type_failure_reason(tcode: int, targ) -> str:
-    if tcode == T_INTEGER:
-        return "not a 64-bit integer"
-    if tcode == T_DECIMAL:
-        return "not a decimal number"
-    if tcode == T_DATE:
-        return f"not a date in format {targ.spec}"
-    if tcode == T_ENUM:
-        return "not one of the enumerated values"
-    raise AssertionError(f"type code {tcode} cannot fail")
-
-
 def parse_int(t: str) -> int | None:
     """The signed 64-bit integer that `t` spells, or None. int() sees the
     sign and at most 19 digits, never a text past CPython's limit on the
@@ -185,34 +120,6 @@ def parse_int(t: str) -> int | None:
         return None
     v = int(m[1] + m[2])
     return v if INT64_MIN <= v <= INT64_MAX else None
-
-
-def parse_cell(raw: str, tcode: int, targ, null_tokens: tuple[str, ...]):
-    """Reference single-cell parser; generated evaluators parse the same way."""
-    t = raw.strip(ASCII_WS)
-    if t in null_tokens:
-        return None
-    if tcode == T_TEXT:
-        return t
-    if tcode == T_INTEGER:
-        v = parse_int(t)
-        if v is None:
-            return ParseFailure(raw, type_failure_reason(tcode, targ))
-        return v
-    if tcode == T_DECIMAL:
-        if DEC_RE.fullmatch(t) is None:
-            return ParseFailure(raw, type_failure_reason(tcode, targ))
-        return Decimal(t)
-    if tcode == T_DATE:
-        d = parse_date_text(t, targ)
-        if d is None:
-            return ParseFailure(raw, type_failure_reason(tcode, targ))
-        return d
-    if tcode == T_ENUM:
-        if t in targ:
-            return t
-        return ParseFailure(raw, type_failure_reason(tcode, targ))
-    raise ValueError(f"unknown type code {tcode}")
 
 
 def format_decimal(d: Decimal) -> str:

@@ -1,10 +1,24 @@
 """CLI behavior: exit codes, stream discipline, flags."""
 
+import contextlib
+import csv
+import dataclasses
+import io
 import json
+import random
+import tempfile
+from decimal import Decimal
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqspec import corpus
 from dqspec.cli import main
+from dqspec.lang import ast, format_spec
 from helpers import write_csv
+from naive_oracle import naive_evaluate
+from randgen import rand_dataset, rand_executable_spec
 
 GOOD_SPEC = """
 spec s {{
@@ -205,3 +219,101 @@ def test_negative_max_flagged_per_rule_exit_2(tmp_path, capsys):
     assert code == 2
     assert "--max-flagged-per-rule" in capsys.readouterr().err
     assert not flagged.exists()
+
+
+def test_profile_top_below_zero_exit_2(tmp_path, capsys):
+    data = write_csv(tmp_path / "d.csv", [["n"], ["1"], ["2"], ["3"]])
+    assert main(["profile", data, "--top", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--top" in err and "at least 0" in err
+    assert main(["profile", data, "--top", "0"]) == 0
+
+
+# the CSV module refuses a field of more than 131,072 characters
+MALFORMED = {
+    "open_quote.csv": b'a,b\n1,"x',
+    "text_after_quote.csv": b'a,b\n1,"ab"c\n2,y\n',
+    "huge_field.csv": b"a,b\n1," + b"x" * 200_000 + b"\n",
+}
+
+
+def test_malformed_csv_exit_3(tmp_path, capsys):
+    spec = tmp_path / "s.dq"
+    for name, data in MALFORMED.items():
+        (tmp_path / name).write_bytes(data)
+        spec.write_text(
+            f"spec s {{ source d {{ path '{name}'; }} object d from d {{ field a text; field b text; }} }}",
+            encoding="utf-8",
+        )
+        for argv in (["check", str(spec), "--report", "json"], ["profile", str(tmp_path / name)]):
+            assert main(argv) == 3, (name, argv)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert name in out.err and "malformed CSV in record 1" in out.err, out.err
+
+
+def _insert(piece: bytes):
+    return lambda data, at: data[:at] + piece + data[at:]
+
+
+HOSTILE_EDITS = {
+    "stray quote": _insert(b'"'),
+    "CR line ends": lambda data, at: data.replace(b"\n", b"\r"),
+    "BOM": _insert(b"\xef\xbb\xbf"),
+    "NUL": _insert(b"\x00"),
+    "invalid UTF-8": _insert(b"\xff\xfe"),
+    "huge field": _insert(b"y" * 200_000),
+}
+
+
+def _main_captured(argv) -> tuple[int, bytes]:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from(["main", "ref"]),
+    edits=st.lists(
+        st.tuples(st.sampled_from(sorted(HOSTILE_EDITS)), st.integers(0, 2**20)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_hostile_csv_bytes_exit_cleanly_or_match_the_oracle(seed, target, edits):
+    rng = random.Random(seed)
+    spec = rand_executable_spec(rng)
+    cap = ast.ThresholdDecl(name="cap", target="invalid_records", comparator="<=", limit_pct=Decimal(30))
+    spec = dataclasses.replace(spec, thresholds=(cap,))
+    data = rand_dataset(rng, spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "s.dq").write_text(format_spec(spec), encoding="utf-8")
+        paths = {}
+        for name, rows in data.items():
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(rows)
+            raw = text.getvalue().encode("utf-8")
+            if name == target:
+                for kind, at in edits:
+                    raw = HOSTILE_EDITS[kind](raw, at % (len(raw) + 1))
+            paths[name] = base / f"{name}.csv"
+            paths[name].write_bytes(raw)
+
+        code, out = _main_captured(["check", str(base / "s.dq"), "--report", "json"])
+        assert code in (0, 1, 3)
+        if code != 3:
+            doc = json.loads(out)
+            want = naive_evaluate(spec, {name: str(p) for name, p in paths.items()})
+            counts = {r["rule_id"]: r["count"] for r in doc["rules"]}
+            assert set(want.rule_ordinals) <= set(counts)
+            assert counts == {rid: len(want.ordinals(rid)) for rid in counts}
+            assert doc["invalid_records"]["count"] == len(want.invalid_ordinals)
+            assert doc["invalid_records"]["total"] == want.total_records
+
+        code, _out = _main_captured(["profile", str(paths["main"])])
+        assert code in (0, 1, 3)

@@ -7,7 +7,7 @@ from dqspec import codegen, engine, profiler
 from dqspec.ingest import open_dataset
 from dqspec.lang import check_spec, parse_spec
 from dqspec.lang.lexer import escape_string
-from dqspec.values import T_INTEGER, ParseFailure, parse_cell
+from dqspec.values import parse_int
 from helpers import violations_by_rule, write_csv
 from naive_oracle import naive_evaluate
 
@@ -164,8 +164,8 @@ def test_integers_past_the_int_text_limit_are_type_violations(tmp_path):
     # two rows per text: '1'*5000, '-9'*4301 and the 20-digit text fail as
     # integers; '0'*5000 + '7' and zero-led INT64_MAX parse
     assert got["t.n.type"] == {1, 2, 5, 6, 11, 12}
-    assert parse_cell(LONG_INTS[1], T_INTEGER, None, ("",)) == 7
-    assert isinstance(parse_cell(LONG_INTS[0], T_INTEGER, None, ("",)), ParseFailure)
+    assert parse_int(LONG_INTS[1]) == 7
+    assert parse_int(LONG_INTS[0]) is None
 
 
 def test_profiler_counts_long_integer_texts_as_non_integers(tmp_path):

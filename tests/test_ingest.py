@@ -1,18 +1,25 @@
-"""CSV readers, dialects, projection."""
+"""CSV readers and dialects, and the record fields a spec declares."""
 
 import pytest
 
+from dqspec import engine
 from dqspec.ingest import (
     DataError,
     DialectConfig,
     HeaderMissingColumn,
-    ObjectProjector,
-    ParseFailure,
     open_dataset,
-    project_object,
 )
 from dqspec.lang import ast, check_spec, parse_spec
 from helpers import write_csv
+
+
+def _run(text, path):
+    """The report and violations of one `engine.run` of spec `text` with
+    its one source `s` bound to `path`."""
+    plan = engine.compile_plan(check_spec(parse_spec(text)))
+    viols = []
+    rep = engine.run(plan, {"s": path}, violation_sink=viols.append)
+    return rep, viols
 
 
 def test_missing_file(tmp_path):
@@ -95,47 +102,34 @@ def test_projection_exactly_declared_fields(tmp_path):
     header = [f"c{i}" for i in range(1, 23)]
     row = [str(i) for i in range(1, 23)]
     p = write_csv(tmp_path / "wide.csv", [header, row])
-    fields = tuple(
-        ast.FieldDecl(name=f"c{i}", ftype=ast.TextType()) for i in range(1, 12)
-    )
-    obj = ast.ObjectDecl(name="o", source="s", fields=fields)
-    with open_dataset(p) as r:
-        recs = list(r)
-        inst = project_object((recs[0][0], recs[0][1]), obj, r)
-    assert len(inst.values) == 11
-    assert set(inst.values) == {f"c{i}" for i in range(1, 12)}
-    assert inst.values["c3"] == ("3", "3")
+    # c3 binds column c3, whose cell "3" fails the pattern
+    fields = " ".join(f"field c{i} text;" for i in range(1, 12))
+    fields = fields.replace("field c3 text;", "field c3 text matches '[a-z]+';")
+    rep, viols = _run(f"spec x {{ source s {{ path 'wide.csv'; }} object o from s {{ {fields} }} }}", p)
+    declared = {r.rule_id.split(".")[1] for r in rep.rules if r.rule_id.endswith(".type")}
+    assert declared == {f"c{i}" for i in range(1, 12)}
+    assert rep.rule("o.structure").count == 0
+    assert [(v.rule_id, v.field, v.raw_value) for v in viols] == [("o.c3.matches", "c3", "3")]
 
 
 def test_projection_deterministic(tmp_path):
     p = write_csv(tmp_path / "d.csv", [["a", "b"], [" 7 ", "x"]])
-    obj = ast.ObjectDecl(
-        name="o",
-        source="s",
-        fields=(
-            ast.FieldDecl(name="a", ftype=ast.IntegerType()),
-            ast.FieldDecl(name="b", ftype=ast.TextType()),
-        ),
+    text = (
+        "spec x { source s { path 'd.csv'; } object o from s {"
+        " field a integer max 6; field b text; rule seven: a = 7; } }"
     )
-    with open_dataset(p) as r:
-        proj = ObjectProjector(obj, r)
-        recs = list(r)
-        one = proj.project(*recs[0][:2])
-        two = proj.project(*recs[0][:2])
+    one = _run(text, p)
+    two = _run(text, p)
     assert one == two
-    assert one.values["a"] == (" 7 ", 7)  # raw untrimmed, parsed value typed
+    # the trimmed text parses as the integer 7; the violation shows the raw cell
+    assert [(v.rule_id, v.raw_value) for v in one[1]] == [("o.a.max", " 7 ")]
 
 
 def test_projection_parse_failure_detail(tmp_path):
     p = write_csv(tmp_path / "d.csv", [["a"], ["12a"]])
-    obj = ast.ObjectDecl(
-        name="o", source="s", fields=(ast.FieldDecl(name="a", ftype=ast.IntegerType()),)
-    )
-    with open_dataset(p) as r:
-        recs = list(r)
-        inst = project_object((recs[0][0], recs[0][1]), obj, r)
-    raw, v = inst.values["a"]
-    assert raw == "12a" and isinstance(v, ParseFailure) and v.raw == "12a"
+    _rep, viols = _run("spec x { source s { path 'd.csv'; } object o from s { field a integer; } }", p)
+    assert [(v.rule_id, v.field, v.raw_value) for v in viols] == [("o.a.type", "a", "12a")]
+    assert viols[0].message == "value is not a 64-bit integer"
 
 
 def test_zero_field_object_rejected_by_checker():

@@ -139,16 +139,24 @@ def _v(ordinal, rule_id="o.f.not_null", raw="", field="f"):
     )
 
 
+def _write(violations, path, max_per_rule=None) -> int:
+    """Rows written for `violations`, through one FlaggedWriter."""
+    with report.FlaggedWriter(str(path), max_per_rule=max_per_rule) as writer:
+        for v in violations:
+            writer.write(v)
+    return writer.written
+
+
 def test_flagged_zero_violations_header_only(tmp_path):
     p = tmp_path / "flag.csv"
-    count = report.write_flagged([], str(p))
+    count = _write([], p)
     assert count == 0
     assert p.read_text() == "record,rule_id,field,raw_value,severity,message\n"
 
 
 def test_flagged_rows_and_count(tmp_path):
     p = tmp_path / "flag.csv"
-    count = report.write_flagged([_v(1), _v(2, rule_id="o.f.matches", raw="XX-1")], str(p))
+    count = _write([_v(1), _v(2, rule_id="o.f.matches", raw="XX-1")], p)
     assert count == 2
     rows = report.read_flagged(str(p))
     assert rows[0]["record"] == "1"
@@ -159,7 +167,7 @@ def test_flagged_rows_and_count(tmp_path):
 def test_flagged_raw_round_trip_quoting(tmp_path):
     nasty = 'a,"b"\nline2\ttab '
     p = tmp_path / "flag.csv"
-    report.write_flagged([_v(1, raw=nasty)], str(p))
+    _write([_v(1, raw=nasty)], p)
     rows = report.read_flagged(str(p))
     assert rows[0]["raw_value"] == nasty
 
@@ -167,7 +175,7 @@ def test_flagged_raw_round_trip_quoting(tmp_path):
 def test_flagged_cap_and_marker(tmp_path):
     p = tmp_path / "flag.csv"
     vs = [_v(i) for i in range(1, 6)] + [_v(9, rule_id="o.g.unique")]
-    count = report.write_flagged(vs, str(p), max_per_rule=2)
+    count = _write(vs, p, max_per_rule=2)
     assert count == 3  # 2 capped + 1 uncapped rule
     rows = report.read_flagged(str(p))
     assert len(rows) == 4
