@@ -3,12 +3,14 @@
 Subcommands: check, validate-spec, profile, emit-sql, gen. Standard
 output carries only the requested artifact (report, profiles, SQL);
 diagnostics go to standard error. Exit codes: 0 all thresholds pass,
-1 quality failure, 2 spec or usage error, 3 I/O or structural error.
+1 quality failure, 2 spec or usage error, 3 I/O or structural error
+(a dead worker process included), 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_QUALITY = 1
 EXIT_SPEC = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 
 def _err(msg: str):
@@ -67,28 +70,23 @@ def _cmd_check(args) -> int:
         _err(str(exc))
         return EXIT_IO
     plan = engine.compile_plan(vspec)
-    writer = None
     try:
-        if args.flagged:
-            writer = report.FlaggedWriter(args.flagged, max_per_rule=args.max_flagged_per_rule)
-        result = engine.run(
-            plan,
-            data_paths,
-            jobs=args.jobs,
-            violation_sink=writer.write if writer else None,
-        )
-        if writer:
-            written = writer.close()
-            result = engine.with_flagged(result, args.flagged, written)
-    except DataError as exc:
+        with (
+            report.FlaggedWriter(args.flagged, max_per_rule=args.max_flagged_per_rule)
+            if args.flagged
+            else contextlib.nullcontext()
+        ) as writer:
+            result = engine.run(
+                plan,
+                data_paths,
+                jobs=args.jobs,
+                violation_sink=writer.write if writer else None,
+            )
+            if writer:
+                result = engine.with_flagged(result, args.flagged, writer.close())
+    except (DataError, OSError) as exc:
         _err(str(exc))
         return EXIT_IO
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    finally:
-        if writer:
-            writer.close()
     if args.report == "json":
         sys.stdout.buffer.write(report.render_json(result))
     else:
@@ -301,7 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the spec/usage code
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyboardInterrupt:
+        _err("interrupted")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -50,8 +50,6 @@ class Violation:
 class EmitterMeta:
     rule_id: str
     field: str
-    column: object  # column binding of the field, None for record scope
-    kind: str  # structure | type | constraint kinds | rule
     dimension: str
     severity: str
     message: str
@@ -173,8 +171,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
             EmitterMeta(
                 rule_id=f"{obj.name}.structure",
                 field="",
-                column=None,
-                kind="structure",
                 dimension="validity",
                 severity="error",
                 message="ragged row (unexpected cell count)",
@@ -188,8 +184,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 EmitterMeta(
                     rule_id=f"{obj.name}.{f.name}.type",
                     field=f.name,
-                    column=f.column,
-                    kind="type",
                     dimension="validity",
                     severity="error",
                     message=_type_message(f.ftype),
@@ -204,8 +198,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                     EmitterMeta(
                         rule_id=f"{obj.name}.{f.name}.{c.kind}",
                         field=f.name,
-                        column=f.column,
-                        kind=c.kind,
                         dimension=ast.dimension_for(c.kind, f.ftype),
                         severity=c.severity,
                         message=_constraint_message(c),
@@ -243,8 +235,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 EmitterMeta(
                     rule_id=f"{obj.name}.{r.name}",
                     field="",
-                    column=None,
-                    kind="rule",
                     dimension="consistency",
                     severity=r.severity,
                     message=f"record rule '{r.name}' not satisfied",
@@ -306,19 +296,6 @@ def _constraint_message(c: ast.FieldConstraint) -> str:
 
 # -------------------------------------------------------------- materialization
 
-class _Runtime:
-    """Per-process executable form of one ObjectPlan: its generated
-    evaluator plus what the sequential merge needs."""
-
-    __slots__ = ("evaluator", "unique_eidx", "severities", "metas")
-
-    def __init__(self, oplan: ObjectPlan, vspec: ValidatedSpec, colmap: list[int], indexes):
-        self.evaluator = Evaluator(oplan, vspec, colmap, indexes)
-        self.unique_eidx = tuple(fs.unique_eidx for fs in oplan.fields if fs.unique_eidx is not None)
-        self.severities = [m.severity for m in oplan.emitters]
-        self.metas = oplan.emitters
-
-
 def _resolve_columns(oplan: ObjectPlan, reader: DatasetReader) -> list[int]:
     return [
         reader.resolve(fs.column if fs.column is not None else fs.name)
@@ -348,6 +325,10 @@ _WORKER_EVALUATE = None
 
 
 def _worker_init(plan: CheckPlan, obj_index: int, colmap: list[int], indexes):
+    import signal
+
+    # Ctrl-C reaches the whole process group; only the parent handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _WORKER_EVALUATE
     _WORKER_EVALUATE = Evaluator(plan.objects[obj_index], plan.spec, colmap, indexes).evaluate
 
@@ -405,19 +386,6 @@ def build_lookup_index(reader: DatasetReader, column: str | int, source_name: st
     )
 
 
-def _lift(rt: _Runtime, eidx: int, raw: str, ordinal: int) -> Violation:
-    m = rt.metas[eidx]
-    return Violation(
-        rule_id=m.rule_id,
-        record_ordinal=ordinal,
-        field=m.field,
-        raw_value=raw,
-        severity=m.severity,
-        message=m.message,
-        dimension=m.dimension,
-    )
-
-
 def finalize_aggregates(
     rule_counts: dict[str, tuple[int, int]],
     invalid_count: int,
@@ -457,7 +425,8 @@ def run(
 ) -> QualityReport:
     """Execute the plan: build lookup indexes, stream every object's
     source once, emit violations in deterministic order and assemble the
-    report. `data_paths` maps every needed source name to a CSV path."""
+    report. `data_paths` maps every needed source name to a CSV path.
+    A worker process that dies at `jobs` > 1 raises DataError."""
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     vspec = plan.spec
 
@@ -486,21 +455,26 @@ def run(
         src = vspec.source_map[oplan.source]
         with open_dataset(path_of(oplan.source), dialect_from_source(src)) as reader:
             colmap = _resolve_columns(oplan, reader)
-            rt = _Runtime(oplan, vspec, colmap, indexes)
             counts = [0] * len(oplan.emitters)
             if jobs <= 1:
-                results = _evaluated(reader, rt.evaluator.evaluate)
-                obj_invalid = _merge_all(results, rt, counts, violation_sink)
+                evaluate = Evaluator(oplan, vspec, colmap, indexes).evaluate
+                results = _evaluated(reader, evaluate)
+                obj_invalid = _merge_all(results, oplan, counts, violation_sink)
             else:
-                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-                with ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_worker_init,
-                    initargs=(plan, oi, colmap, indexes),
-                ) as pool:
-                    results = _pooled(pool, reader, 2 * jobs)
-                    obj_invalid = _merge_all(results, rt, counts, violation_sink)
+                try:
+                    with ProcessPoolExecutor(
+                        max_workers=jobs,
+                        initializer=_worker_init,
+                        initargs=(plan, oi, colmap, indexes),
+                    ) as pool:
+                        results = _pooled(pool, reader, 2 * jobs)
+                        obj_invalid = _merge_all(results, oplan, counts, violation_sink)
+                except BrokenProcessPool as exc:
+                    raise DataError(
+                        f"a worker process died while checking source '{oplan.source}': {exc}"
+                    ) from None
             total = reader.data_rows_read
         source_rows[oplan.source] = total
         invalid_count += obj_invalid
@@ -534,12 +508,13 @@ def run(
     )
 
 
-def _merge_all(results, rt: _Runtime, counts, sink) -> int:
+def _merge_all(results, oplan: ObjectPlan, counts, sink) -> int:
     """Sequential merge of (ordinal, viols, uvals) results in record
     order: uniqueness resolution, counting, ordered emission. Returns
     the number of invalid records."""
-    severities = rt.severities
-    unique = [(eidx, {}) for eidx in rt.unique_eidx]
+    metas = oplan.emitters
+    severities = [m.severity for m in metas]
+    unique = [(fs.unique_eidx, {}) for fs in oplan.fields if fs.unique_eidx is not None]
     invalid = 0
     for ordinal, viols, uvals in results:
         if viols is None:
@@ -551,7 +526,7 @@ def _merge_all(results, rt: _Runtime, counts, sink) -> int:
                     viols.append((eidx, raw))
                     added = True
             if added:
-                viols.sort(key=_emitter)
+                viols.sort()  # an emitter fires at most once per record
         if not viols:
             continue
         has_error = False
@@ -560,14 +535,21 @@ def _merge_all(results, rt: _Runtime, counts, sink) -> int:
             if severities[eidx] == "error":
                 has_error = True
             if sink is not None:
-                sink(_lift(rt, eidx, raw, ordinal))
+                m = metas[eidx]
+                sink(
+                    Violation(
+                        rule_id=m.rule_id,
+                        record_ordinal=ordinal,
+                        field=m.field,
+                        raw_value=raw,
+                        severity=m.severity,
+                        message=m.message,
+                        dimension=m.dimension,
+                    )
+                )
         if has_error:
             invalid += 1
     return invalid
-
-
-def _emitter(violation):
-    return violation[0]
 
 
 def with_flagged(report: QualityReport, path: str, written: int) -> QualityReport:

@@ -62,7 +62,7 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
         if err is not None:
             bad("InvalidPattern", pos, f"pattern {pattern!r}: {err}")
         else:
-            compiled_patterns[pattern] = pat.compile_pattern(pattern)
+            compiled_patterns[pattern] = re.compile(pattern)
 
     rule_ids: list[str] = []
     all_rule_ids: list[str] = []

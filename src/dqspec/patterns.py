@@ -103,11 +103,6 @@ def _scan_repeat(pattern: str, i: int) -> tuple[int, str | None]:
     return m.end(), None
 
 
-def compile_pattern(pattern: str) -> re.Pattern:
-    """Compile a pattern already validated by validate_pattern."""
-    return re.compile(pattern)
-
-
 def like_translation(pattern: str) -> tuple[str | None, str | None]:
     """Translate to a lossless SQL LIKE pattern if possible.
 

@@ -1,8 +1,15 @@
 """Single-pass column profiling and draft-spec suggestion.
 
-Profiling tallies, per column: null count, distinct values (exact up to
-a cap), how many non-null cells parse as integer, decimal or any date
-preset, min/max per candidate type, max length and top-k frequencies.
+Each column keeps one count table, from every trimmed non-null text to
+its number of occurrences, next to its record and null counts. All else
+is derived from the table once per distinct text: how many non-null
+cells parse as integer, decimal or each date preset, min/max per
+candidate type, max length, the distinct count and top-k frequencies.
+The table is full at DISTINCT_CAP + 1 texts; a text first seen after
+that is tallied on the spot and not ranked, so parse tallies, ranges and
+null counts stay exact while the distinct count and top-k become
+approximate.
+
 suggest_spec turns profiles into a draft specification with provenance
 comments; the draft always favors the narrowest type with full
 agreement and never proposes a constraint its own evidence violates.
@@ -49,20 +56,13 @@ class ColumnProfile:
     def null_rate(self) -> Fraction:
         return Fraction(self.nulls, self.records) if self.records else Fraction(0)
 
-    @property
-    def distinct_ratio(self) -> Fraction:
-        return Fraction(self.distinct, self.non_null) if self.non_null else Fraction(0)
-
 
 class _ColumnAcc:
-    __slots__ = ("profile", "values", "counts", "capped", "cap")
+    __slots__ = ("profile", "counts")
 
-    def __init__(self, name: str, cap: int = DISTINCT_CAP):
+    def __init__(self, name: str):
         self.profile = ColumnProfile(name=name)
-        self.values: set[str] = set()
         self.counts: dict[str, int] = {}
-        self.capped = False
-        self.cap = cap
 
     def add(self, raw: str, null_tokens: tuple[str, ...]):
         p = self.profile
@@ -71,57 +71,67 @@ class _ColumnAcc:
         if t in null_tokens:
             p.nulls += 1
             return
+        counts = self.counts
+        if t in counts:
+            counts[t] += 1
+        elif len(counts) <= DISTINCT_CAP:
+            counts[t] = 1
+        else:
+            # the table is full: tally the text now, it is never ranked
+            self._tally(t, 1)
+
+    def _tally(self, t: str, n: int):
+        """Count `n` occurrences of the non-null text `t`."""
+        p = self.profile
         if len(t) > p.max_length:
             p.max_length = len(t)
-        if self.capped:
-            if t in self.counts:
-                self.counts[t] += 1
-        else:
-            self.values.add(t)
-            self.counts[t] = self.counts.get(t, 0) + 1
-            if len(self.values) > self.cap:
-                self.capped = True
         typed = False
         v = parse_int(t)
         if v is not None:
-            p.integers += 1
+            p.integers += n
             typed = True
-            self._minmax("integer", v)
+            self._minmax("integer", v, v)
         if DEC_RE.fullmatch(t):
             v = Decimal(t)
-            p.decimals += 1
+            p.decimals += n
             typed = True
-            self._minmax("decimal", v)
+            self._minmax("decimal", v, v)
         for fmt, df in zip(DATE_PRESETS, _PRESET_FORMATS):
             d = parse_date_text(t, df)
             if d is not None:
-                p.dates[fmt] += 1
+                p.dates[fmt] += n
                 typed = True
-                self._minmax(f"date:{fmt}", d)
+                self._minmax(f"date:{fmt}", d, d)
         if not typed:
-            p.text_only += 1
-            self._minmax("text", t)
+            p.text_only += n
+            self._minmax("text", t, t)
 
-    def _minmax(self, key: str, v):
+    def _minmax(self, key: str, lo, hi):
+        # min and max keep the value already held on a tie, so among
+        # equal values (1.0, 1.00) the first seen one stays
         mm = self.profile.minmax.get(key)
         if mm is None:
-            self.profile.minmax[key] = (v, v)
+            self.profile.minmax[key] = (lo, hi)
         else:
-            lo, hi = mm
-            self.profile.minmax[key] = (min(lo, v), max(hi, v))
+            self.profile.minmax[key] = (min(mm[0], lo), max(mm[1], hi))
 
     def finish(self, top_k: int) -> ColumnProfile:
         p = self.profile
-        p.distinct = len(self.values)
-        p.distinct_approx = self.capped
+        # every text in the table was seen before any text past it, so
+        # the past-cap ranges are folded in after the table's own
+        late, p.minmax = p.minmax, {}
+        for t, n in self.counts.items():
+            self._tally(t, n)
+        for key, (lo, hi) in late.items():
+            self._minmax(key, lo, hi)
+        p.distinct = len(self.counts)
+        p.distinct_approx = len(self.counts) > DISTINCT_CAP
         ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
         p.top = tuple(ranked[:top_k])
         return p
 
 
-def profile(
-    reader: DatasetReader, top_k: int = 10, distinct_cap: int = DISTINCT_CAP
-) -> list[ColumnProfile]:
+def profile(reader: DatasetReader, top_k: int = 10) -> list[ColumnProfile]:
     """Profile every column of the dataset in one pass."""
     null_tokens = reader.dialect.null_tokens
     if reader.header is not None:
@@ -130,38 +140,27 @@ def profile(
         names = [f"column_{i}" for i in range(1, reader.width + 1)]
     else:
         names = []
-    accs = [_ColumnAcc(n, distinct_cap) for n in names]
+    accs = [_ColumnAcc(n) for n in names]
     for _ordinal, cells, _ragged in reader:
         while len(accs) < len(cells):
-            accs.append(_ColumnAcc(f"column_{len(accs) + 1}", distinct_cap))
-        for i, raw in enumerate(cells):
-            accs[i].add(raw, null_tokens)
+            accs.append(_ColumnAcc(f"column_{len(accs) + 1}"))
+        for acc, raw in zip(accs, cells):
+            acc.add(raw, null_tokens)
     return [a.finish(top_k) for a in accs]
 
 
-@dataclass(frozen=True)
-class SuggestPolicy:
-    not_null_max_null_rate: Fraction = Fraction(0)
-    type_min_agreement: Fraction = Fraction(1)
-    unique_min_distinct_ratio: Fraction = Fraction(1)
-
-
-def _winning_type(p: ColumnProfile, policy: SuggestPolicy) -> ast.FieldType:
-    """Narrowest type with enough agreement: integer, then decimal, then
-    each date preset, else text."""
+def _winning_type(p: ColumnProfile) -> ast.FieldType:
+    """Narrowest type every non-null cell parses as: integer, then
+    decimal, then each date preset, else text."""
     nn = p.non_null
     if nn == 0:
         return ast.TextType()
-
-    def agrees(count: int) -> bool:
-        return Fraction(count, nn) >= policy.type_min_agreement
-
-    if agrees(p.integers):
+    if p.integers == nn:
         return ast.IntegerType()
-    if agrees(p.decimals):
+    if p.decimals == nn:
         return ast.DecimalType()
     for fmt in DATE_PRESETS:
-        if agrees(p.dates[fmt]):
+        if p.dates[fmt] == nn:
             return ast.DateType(fmt=fmt)
     return ast.TextType()
 
@@ -191,28 +190,24 @@ def suggest_spec(
     profiles: list[ColumnProfile],
     source_name: str,
     path: str,
-    policy: SuggestPolicy | None = None,
     has_header: bool = True,
-    spec_name: str = "draft",
 ) -> tuple[ast.SpecAst, dict[str, list[str]]]:
-    """Draft spec from profiles plus per-field provenance notes."""
-    policy = policy or SuggestPolicy()
+    """Draft spec from profiles plus per-field provenance notes: `not
+    null` when no nulls were seen, the narrowest type every non-null cell
+    parses as, and `unique` when every non-null text is distinct and the
+    count table is not full."""
     taken: set[str] = set()
     fields = []
     notes: dict[str, list[str]] = {}
     for i, p in enumerate(profiles):
         ident = _identifier_for(p.name, taken)
-        ftype = _winning_type(p, policy)
+        ftype = _winning_type(p)
         constraints = []
         fnotes = [f"observed {p.records} records, {p.nulls} null ({float(p.null_rate):.4f})"]
-        if p.records > 0 and p.null_rate <= policy.not_null_max_null_rate:
+        if p.records > 0 and p.nulls == 0:
             constraints.append(ast.FieldConstraint("not_null"))
-            fnotes.append("not null: no nulls observed" if p.nulls == 0 else "not null: null rate within policy")
-        if (
-            p.non_null > 0
-            and not p.distinct_approx
-            and p.distinct_ratio >= policy.unique_min_distinct_ratio
-        ):
+            fnotes.append("not null: no nulls observed")
+        if p.non_null > 0 and not p.distinct_approx and p.distinct == p.non_null:
             constraints.append(ast.FieldConstraint("unique"))
             fnotes.append(f"unique: {p.distinct} distinct of {p.non_null} non-null")
         tname = ast.type_name(ftype)
@@ -230,7 +225,7 @@ def suggest_spec(
         fields.append(ast.FieldDecl(name=ident, ftype=ftype, column=column, constraints=tuple(constraints)))
         notes[ident] = fnotes
     spec = ast.SpecAst(
-        name=spec_name,
+        name="draft",
         sources=(ast.SourceDecl(name=source_name, path=path, has_header=has_header),),
         objects=(
             ast.ObjectDecl(name=source_name, source=source_name, fields=tuple(fields)),

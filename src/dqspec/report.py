@@ -9,8 +9,11 @@ outcomes render byte-identically; the text report shows them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import stat
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -200,19 +203,44 @@ class FlaggedWriter:
 
     Violations must arrive in (record ordinal, emitter order); rows past
     the per-rule cap are suppressed and summarized by one truncation
-    marker row per rule at close."""
+    marker row per rule at close.
+
+    Given a path, the protocol goes to a sibling temporary file that
+    close() renames over the path, so a run that fails never leaves a
+    partial protocol behind: leaving a `with` block by an exception, or
+    a close() that fails, deletes the temporary file and keeps whatever
+    was at the path. An existing file keeps its permission bits. A path
+    that exists and is not a plain file (a pipe, a device, a symbolic
+    link such as /dev/stdout, or a file with more than one hard link)
+    is written in place, because renaming over it would replace it
+    rather than write through it."""
 
     def __init__(self, sink, max_per_rule: int | None = None):
         if max_per_rule is not None and max_per_rule < 0:
             raise ValueError(f"max_per_rule must not be negative, got {max_per_rule}")
         self._own = isinstance(sink, (str, bytes))
-        self._fh = open(sink, "w", encoding="utf-8", newline="") if self._own else sink
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(FLAGGED_HEADER)
+        self._tmp = st = None
         self._cap = max_per_rule
         self._seen: dict[str, int] = {}
         self.written = 0
         self._closed = False
+        if not self._own:
+            self._fh = sink
+        else:
+            self._path = os.fsdecode(sink)
+            with contextlib.suppress(FileNotFoundError):
+                st = os.lstat(self._path)
+            if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+                self._tmp = f"{self._path}.{os.getpid()}.tmp"
+            self._fh = open(self._tmp or self._path, "w", encoding="utf-8", newline="")
+        try:
+            if self._tmp and st is not None:
+                os.chmod(self._tmp, stat.S_IMODE(st.st_mode))
+            self._writer = csv.writer(self._fh, lineterminator="\n")
+            self._writer.writerow(FLAGGED_HEADER)
+        except BaseException:
+            self._discard()
+            raise
 
     def write(self, v: Violation) -> bool:
         n = self._seen.get(v.rule_id, 0) + 1
@@ -229,22 +257,43 @@ class FlaggedWriter:
         if self._closed:
             return self.written
         self._closed = True
-        if self._cap is not None:
-            for rule_id in sorted(self._seen):
-                omitted = self._seen[rule_id] - self._cap
-                if omitted > 0:
-                    self._writer.writerow(
-                        ["", rule_id, "", "", "info", f"truncated: {omitted} more violations"]
-                    )
-        if self._own:
-            self._fh.close()
+        try:
+            if self._cap is not None:
+                for rule_id in sorted(self._seen):
+                    omitted = self._seen[rule_id] - self._cap
+                    if omitted > 0:
+                        self._writer.writerow(
+                            ["", rule_id, "", "", "info", f"truncated: {omitted} more violations"]
+                        )
+            if self._own:
+                self._fh.close()
+                if self._tmp:
+                    os.replace(self._tmp, self._path)
+        except BaseException:
+            self._discard()
+            raise
         return self.written
+
+    def _discard(self) -> None:
+        """Close an owned file without raising and delete the temporary
+        file, for a run that did not complete. A close that fails (say, a
+        final flush on a full disk) must not keep the file behind."""
+        self._closed = True
+        if self._own:
+            with contextlib.suppress(OSError):
+                self._fh.close()
+            if self._tmp:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._tmp)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
         return False
 
 

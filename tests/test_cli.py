@@ -5,15 +5,19 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
+import stat
 import tempfile
+import threading
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqspec import corpus
+from dqspec import corpus, engine
 from dqspec.cli import main
 from dqspec.lang import ast, format_spec
 from helpers import write_csv
@@ -250,6 +254,107 @@ def test_malformed_csv_exit_3(tmp_path, capsys):
             out = capsys.readouterr()
             assert out.out == ""
             assert name in out.err and "malformed CSV in record 1" in out.err, out.err
+
+
+def test_malformed_csv_leaves_no_flagged_protocol(tmp_path, capsys):
+    (tmp_path / "d.csv").write_bytes(b'a,b\n1,x\n2,"ab"c\n')
+    spec = tmp_path / "s.dq"
+    spec.write_text(
+        "spec s { source d { path 'd.csv'; } object d from d { field a text; field b text; } }",
+        encoding="utf-8",
+    )
+    flagged = tmp_path / "fl.csv"
+    argv = ["check", str(spec), "--flagged", str(flagged)]
+    assert main(argv) == 3
+    assert "malformed CSV in record 2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.dq"]
+    old = b"record,rule_id\nfrom an earlier run\n"
+    flagged.write_bytes(old)
+    assert main(argv) == 3
+    assert flagged.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fl.csv", "s.dq"]
+
+
+def test_flagged_pipe_is_written_in_place(tmp_path, capsys):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"], [""]])
+    pipe = tmp_path / "fl.pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["check", spec, "--flagged", str(pipe)]) == 0
+    reader.join(10)
+    assert got == [b"record,rule_id,field,raw_value,severity,message\n2,d.a.not_null,a,,error,null value\n"]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fl.pipe", "s.dq"]
+
+
+@pytest.mark.parametrize("kind", ["symlink", "hard link"])
+def test_flagged_link_is_written_through(tmp_path, capsys, kind):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"], [""]])
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"record,rule_id\nfrom an earlier run\n")
+    link = tmp_path / "fl.csv"
+    if kind == "symlink":
+        link.symlink_to(target)
+    else:
+        os.link(target, link)
+    assert main(["check", spec, "--flagged", str(link)]) == 0
+    if kind == "symlink":
+        assert link.is_symlink() and os.readlink(link) == str(target)
+    else:
+        assert os.path.samefile(link, target)
+    assert target.read_bytes() == (
+        b"record,rule_id,field,raw_value,severity,message\n2,d.a.not_null,a,,error,null value\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fl.csv", "s.dq", "target.csv"]
+
+
+def test_flagged_file_keeps_its_mode(tmp_path, capsys):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"], [""]])
+    flagged = tmp_path / "fl.csv"
+    flagged.write_bytes(b"old\n")
+    flagged.chmod(0o600)
+    assert main(["check", spec, "--flagged", str(flagged)]) == 0
+    assert stat.S_IMODE(flagged.stat().st_mode) == 0o600
+    assert flagged.read_text().startswith("record,rule_id,")
+
+
+def _die_in_worker(*_args):
+    os._exit(7)
+
+
+def test_dead_worker_exit_3(tmp_path, capsys, monkeypatch):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"], [""], ["y"]])
+    monkeypatch.setattr(engine, "_worker_init", _die_in_worker)
+    flagged = tmp_path / "fl.csv"
+    assert main(["check", spec, "--jobs", "2", "--flagged", str(flagged)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "worker process died" in out.err, out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.dq"]
+
+
+def test_interrupt_exit_130(tmp_path, capsys, monkeypatch):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"], [""], [""]])
+    real_run = engine.run
+
+    def interrupted_run(plan, data_paths, jobs=1, violation_sink=None):
+        def sink(v):
+            violation_sink(v)
+            raise KeyboardInterrupt
+
+        return real_run(plan, data_paths, jobs=jobs, violation_sink=sink)
+
+    monkeypatch.setattr(engine, "run", interrupted_run)
+    try:
+        code = main(["check", spec, "--flagged", str(tmp_path / "fl.csv")])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")  # else it would stop the test session
+    assert code == 130
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.dq"]
 
 
 def _insert(piece: bytes):

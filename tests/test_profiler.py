@@ -1,9 +1,14 @@
 """Column profiling and draft-spec suggestion."""
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 import random
 from fractions import Fraction
 
-from dqspec import profiler
+from dqspec import corpus, profiler
+from dqspec.cli import main
 from dqspec.ingest import DialectConfig, open_dataset
 from dqspec.lang import ast, check_spec, parse_spec
 from helpers import write_csv
@@ -45,10 +50,32 @@ def test_date_presets_and_max_length(tmp_path):
     assert prof.max_length == 10
 
 
-def test_distinct_cap_marks_approximate(tmp_path):
+def test_distinct_cap_marks_approximate(tmp_path, monkeypatch):
+    monkeypatch.setattr(profiler, "DISTINCT_CAP", 10)
     rows = [["v"]] + [[str(i)] for i in range(50)]
-    (prof,) = _profiles(tmp_path, rows, distinct_cap=10)
+    (prof,) = _profiles(tmp_path, rows)
     assert prof.distinct_approx
+
+    # the table is full after 1.0, x, 01 and the date; 1.00, 1 and 7 come
+    # later and are tallied without entering it
+    monkeypatch.setattr(profiler, "DISTINCT_CAP", 3)
+    cells = ["1.0", "x", "01", "1.0", "2020-01-02", "1.00", "x", "1", "7", "1.00"]
+    (prof,) = _profiles(tmp_path, [["v"]] + [[c] for c in cells])
+    assert (prof.records, prof.nulls) == (10, 0)
+    assert (prof.integers, prof.decimals, prof.text_only) == (3, 7, 2)
+    assert prof.dates == {"YYYY-MM-DD": 1, "DD.MM.YYYY": 0, "DD/MM/YYYY": 0}
+    # among the equal decimals 1.0, 01, 1.00 and 1 the first seen is the minimum
+    assert {k: (str(lo), str(hi)) for k, (lo, hi) in prof.minmax.items()} == {
+        "decimal": ("1.0", "7"),
+        "integer": ("1", "7"),
+        "text": ("x", "x"),
+        "date:YYYY-MM-DD": ("2020-01-02", "2020-01-02"),
+    }
+    assert prof.distinct == 4 and prof.distinct_approx
+    assert prof.top == (("1.0", 2), ("x", 2), ("01", 1), ("2020-01-02", 1))
+    assert prof.max_length == 10
+    spec, _notes = profiler.suggest_spec([prof], "d", "d.csv")
+    assert all(c.kind != "unique" for c in spec.objects[0].fields[0].constraints)
 
 
 def test_top_k_frequencies(tmp_path):
@@ -114,3 +141,28 @@ def test_profile_single_pass_deterministic(tmp_path):
     a = _profiles(tmp_path, rows)
     b = _profiles(tmp_path, rows)
     assert a == b
+
+
+def test_profile_bytes_are_pinned(tmp_path):
+    """`profile --report json`, `--report text` and the `--suggest` draft
+    of a fixed corpus never change byte for byte."""
+    plan = corpus.register_plan(records=2000)
+    plan = dataclasses.replace(
+        plan,
+        injections=tuple(dataclasses.replace(i, count=max(1, i.count // 200)) for i in plan.injections),
+    )
+    data = str(corpus.generate(plan, tmp_path / "c").dataset_paths["register"])
+    draft = tmp_path / "draft.dq"
+    got = {}
+    for report in ("json", "text"):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["profile", data, "--report", report, "--suggest", str(draft)]) == 0
+        out.flush()
+        got[report] = hashlib.sha256(out.buffer.getvalue()).hexdigest()
+    got["draft"] = hashlib.sha256(draft.read_bytes()).hexdigest()
+    assert got == {
+        "json": "6db764429a7898707210f0d656d26c458fe10c032e504dc00cb0cdfefba795c8",
+        "text": "a41259f23964b216d1393728aaa3dadd9be52e54de4ac259208b328e1b6775f9",
+        "draft": "fa7db91c7a5f3dba2abd71e3f05b3f3265a08dda57345ca33a4cc08e993230c5",
+    }

@@ -1,5 +1,6 @@
 """Report rendering, canonical JSON, flagged protocol."""
 
+import errno
 import io
 import random
 from fractions import Fraction
@@ -184,6 +185,38 @@ def test_flagged_cap_and_marker(tmp_path):
     assert "truncated: 3 more violations" in marker["message"]
     with pytest.raises(ValueError):
         report.FlaggedWriter(io.StringIO(), max_per_rule=-1)
+
+
+class _FullDisk:
+    """A file on a full disk: the close fails, and so does every write
+    after the first when `fail_writes` is set."""
+
+    def __init__(self, fh, fail_writes):
+        self._fh = fh
+        self._fail_writes = fail_writes
+        self._writes = 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._fail_writes and self._writes > 1:
+            raise OSError(errno.ENOSPC, "write failed")
+        return self._fh.write(text)
+
+    def close(self):
+        self._fh.close()
+        raise OSError(errno.ENOSPC, "close failed")
+
+
+@pytest.mark.parametrize("fail_writes", [True, False])
+def test_flagged_failed_close_leaves_no_file(tmp_path, monkeypatch, fail_writes):
+    monkeypatch.setattr(
+        report, "open", lambda *a, **k: _FullDisk(open(*a, **k), fail_writes), raising=False
+    )
+    p = tmp_path / "flag.csv"
+    with pytest.raises(OSError, match="write failed" if fail_writes else "close failed"):
+        with report.FlaggedWriter(str(p)) as writer:
+            writer.write(_v(1))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flagged_row_count_equals_multiplicities(tmp_path, small_register_corpus):
