@@ -76,12 +76,7 @@ def _cmd_check(args) -> int:
             if args.flagged
             else contextlib.nullcontext()
         ) as writer:
-            result = engine.run(
-                plan,
-                data_paths,
-                jobs=args.jobs,
-                violation_sink=writer.write if writer else None,
-            )
+            result = engine.run(plan, data_paths, jobs=args.jobs, violation_sink=writer)
             if writer:
                 result = engine.with_flagged(result, args.flagged, writer.close())
     except (DataError, OSError) as exc:

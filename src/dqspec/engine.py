@@ -15,6 +15,13 @@ Violations are ordered by (record ordinal, emitter order) where emitter
 order is: structure, then per field its type check followed by its
 constraints in declaration order, then record rules in declaration
 order.
+
+A violation sink sees each record's violations as the merge found them:
+a list of (emitter index, raw value) pairs, handed to an `emit(ordinal,
+viols)` function that the sink builds once per object from the
+object's emitters with `emit_for(emitters)`; `report.FlaggedWriter`
+writes them as preformatted protocol lines. A plain callable sink
+receives one `Violation` per violation instead.
 """
 
 from __future__ import annotations
@@ -426,6 +433,8 @@ def run(
     """Execute the plan: build lookup indexes, stream every object's
     source once, emit violations in deterministic order and assemble the
     report. `data_paths` maps every needed source name to a CSV path.
+    `violation_sink` is None, an object with an `emit_for` method (see
+    the module docstring) or a callable taking one Violation.
     A worker process that dies at `jobs` > 1 raises DataError."""
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     vspec = plan.spec
@@ -453,13 +462,14 @@ def run(
     invalid_total = 0
     for oi, oplan in enumerate(plan.objects):
         src = vspec.source_map[oplan.source]
+        emit = _emitter(violation_sink, oplan.emitters)
         with open_dataset(path_of(oplan.source), dialect_from_source(src)) as reader:
             colmap = _resolve_columns(oplan, reader)
             counts = [0] * len(oplan.emitters)
             if jobs <= 1:
                 evaluate = Evaluator(oplan, vspec, colmap, indexes).evaluate
                 results = _evaluated(reader, evaluate)
-                obj_invalid = _merge_all(results, oplan, counts, violation_sink)
+                obj_invalid = _merge_all(results, oplan, counts, emit)
             else:
                 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -470,7 +480,7 @@ def run(
                         initargs=(plan, oi, colmap, indexes),
                     ) as pool:
                         results = _pooled(pool, reader, 2 * jobs)
-                        obj_invalid = _merge_all(results, oplan, counts, violation_sink)
+                        obj_invalid = _merge_all(results, oplan, counts, emit)
                 except BrokenProcessPool as exc:
                     raise DataError(
                         f"a worker process died while checking source '{oplan.source}': {exc}"
@@ -508,12 +518,12 @@ def run(
     )
 
 
-def _merge_all(results, oplan: ObjectPlan, counts, sink) -> int:
+def _merge_all(results, oplan: ObjectPlan, counts, emit) -> int:
     """Sequential merge of (ordinal, viols, uvals) results in record
-    order: uniqueness resolution, counting, ordered emission. Returns
-    the number of invalid records."""
-    metas = oplan.emitters
-    severities = [m.severity for m in metas]
+    order: uniqueness resolution, counting, and one `emit(ordinal,
+    viols)` call per record with violations. Returns the number of
+    invalid records."""
+    is_error = [m.severity == "error" for m in oplan.emitters]
     unique = [(fs.unique_eidx, {}) for fs in oplan.fields if fs.unique_eidx is not None]
     invalid = 0
     for ordinal, viols, uvals in results:
@@ -530,26 +540,44 @@ def _merge_all(results, oplan: ObjectPlan, counts, sink) -> int:
         if not viols:
             continue
         has_error = False
-        for eidx, raw in viols:
+        for eidx, _raw in viols:
             counts[eidx] += 1
-            if severities[eidx] == "error":
+            if is_error[eidx]:
                 has_error = True
-            if sink is not None:
-                m = metas[eidx]
-                sink(
-                    Violation(
-                        rule_id=m.rule_id,
-                        record_ordinal=ordinal,
-                        field=m.field,
-                        raw_value=raw,
-                        severity=m.severity,
-                        message=m.message,
-                        dimension=m.dimension,
-                    )
-                )
         if has_error:
             invalid += 1
+        if emit is not None:
+            emit(ordinal, viols)
     return invalid
+
+
+def _emitter(sink, emitters: tuple[EmitterMeta, ...]):
+    """The `emit(ordinal, viols)` function of one object pass, or None
+    without a sink. A sink with an `emit_for(emitters)` method supplies
+    its own; a plain callable gets one Violation per violation, built
+    here and nowhere else."""
+    if sink is None:
+        return None
+    emit_for = getattr(sink, "emit_for", None)
+    if emit_for is not None:
+        return emit_for(emitters)
+
+    def emit(ordinal, viols):
+        for eidx, raw in viols:
+            m = emitters[eidx]
+            sink(
+                Violation(
+                    rule_id=m.rule_id,
+                    record_ordinal=ordinal,
+                    field=m.field,
+                    raw_value=raw,
+                    severity=m.severity,
+                    message=m.message,
+                    dimension=m.dimension,
+                )
+            )
+
+    return emit
 
 
 def with_flagged(report: QualityReport, path: str, written: int) -> QualityReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import stat
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -198,12 +199,33 @@ def parse_report(data: bytes | str) -> QualityReport:
 
 # ------------------------------------------------------------ flagged protocol
 
+def _csv_field(text: str) -> str:
+    """One protocol field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, a CR or an LF; otherwise as it is."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(*fields) -> str:
+    return ",".join([_csv_field(str(f)) for f in fields]) + "\n"
+
+
 class FlaggedWriter:
     """CSV sink for the flagged-record protocol.
 
     Violations must arrive in (record ordinal, emitter order); rows past
     the per-rule cap are suppressed and summarized by one truncation
-    marker row per rule at close.
+    marker row per rule at close, sorted by rule id.
+
+    `engine.run` takes the writer itself as its sink: `emit_for` quotes
+    each emitter's rule id, field, severity and message once per object,
+    and the returned `emit(ordinal, viols)` writes a record's
+    (emitter index, raw value) violations as one string of preformatted
+    lines, counting and capping by emitter index. `write(violation)`,
+    also reached by calling the writer, formats one Violation the same
+    way. A field is quoted when it holds a comma, a quote, a CR or an LF,
+    so every raw value reads back exactly.
 
     Given a path, the protocol goes to a sibling temporary file that
     close() renames over the path, so a run that fails never leaves a
@@ -221,7 +243,8 @@ class FlaggedWriter:
         self._own = isinstance(sink, (str, bytes))
         self._tmp = st = None
         self._cap = max_per_rule
-        self._seen: dict[str, int] = {}
+        self._seen: dict[str, int] = {}  # rule id -> violations, for the markers
+        self._pass = None  # (emitters, per-emitter counts) of the open object pass
         self.written = 0
         self._closed = False
         if not self._own:
@@ -236,8 +259,7 @@ class FlaggedWriter:
         try:
             if self._tmp and st is not None:
                 os.chmod(self._tmp, stat.S_IMODE(st.st_mode))
-            self._writer = csv.writer(self._fh, lineterminator="\n")
-            self._writer.writerow(FLAGGED_HEADER)
+            self._fh.write(_csv_line(*FLAGGED_HEADER))
         except BaseException:
             self._discard()
             raise
@@ -247,11 +269,46 @@ class FlaggedWriter:
         self._seen[v.rule_id] = n
         if self._cap is not None and n > self._cap:
             return False
-        self._writer.writerow(
-            [v.record_ordinal, v.rule_id, v.field, v.raw_value, v.severity, v.message]
+        self._fh.write(
+            _csv_line(v.record_ordinal, v.rule_id, v.field, v.raw_value, v.severity, v.message)
         )
         self.written += 1
         return True
+
+    __call__ = write
+
+    def emit_for(self, emitters):
+        """The `emit(ordinal, viols)` function of one object pass over
+        `emitters`, for `engine.run`."""
+        write = self._fh.write
+        field = _csv_field
+        heads = [f"{field(m.rule_id)},{field(m.field)}," for m in emitters]
+        tails = [f",{field(m.severity)},{field(m.message)}\n" for m in emitters]
+        cap = math.inf if self._cap is None else self._cap
+        self._fold()
+        seen = [self._seen.get(m.rule_id, 0) for m in emitters]
+        self._pass = (emitters, seen)
+
+        def emit(ordinal, viols):
+            lines = []
+            for e, raw in viols:
+                n = seen[e] = seen[e] + 1
+                if n <= cap:
+                    lines.append(f"{ordinal},{heads[e]}{field(raw)}{tails[e]}")
+            if lines:
+                write("".join(lines))
+                self.written += len(lines)
+
+        return emit
+
+    def _fold(self) -> None:
+        """Move the counts of the last object pass into the per-rule
+        counts, so a rule seen again continues from its count."""
+        if self._pass is not None:
+            for m, n in zip(*self._pass):
+                if n:
+                    self._seen[m.rule_id] = n
+            self._pass = None
 
     def close(self) -> int:
         if self._closed:
@@ -259,12 +316,12 @@ class FlaggedWriter:
         self._closed = True
         try:
             if self._cap is not None:
+                self._fold()
                 for rule_id in sorted(self._seen):
                     omitted = self._seen[rule_id] - self._cap
                     if omitted > 0:
-                        self._writer.writerow(
-                            ["", rule_id, "", "", "info", f"truncated: {omitted} more violations"]
-                        )
+                        message = f"truncated: {omitted} more violations"
+                        self._fh.write(_csv_line("", rule_id, "", "", "info", message))
             if self._own:
                 self._fh.close()
                 if self._tmp:

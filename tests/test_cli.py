@@ -8,7 +8,10 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 from decimal import Decimal
 from pathlib import Path
@@ -17,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqspec import corpus, engine
+from dqspec import corpus, engine, report
 from dqspec.cli import main
 from dqspec.lang import ast, format_spec
-from helpers import write_csv
+from helpers import child_env, write_csv
 from naive_oracle import naive_evaluate
 from randgen import rand_dataset, rand_executable_spec
 
@@ -355,6 +358,45 @@ def test_interrupt_exit_130(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == "" and out.err == "interrupted\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.dq"]
+
+
+def test_interrupt_during_import_exit_130():
+    # a Ctrl-C while `python -m dqspec` still imports dqspec.cli
+    code = textwrap.dedent(
+        """
+        import runpy, sys
+
+        class Interrupt:
+            def find_spec(self, name, path=None, target=None):
+                if name == "dqspec.cli":
+                    raise KeyboardInterrupt
+                return None
+
+        sys.meta_path.insert(0, Interrupt())
+        sys.argv = ["dqspec", "--help"]
+        runpy.run_module("dqspec", run_name="__main__")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"interrupted\n")
+
+
+def test_flagged_raw_value_with_bare_cr_round_trips(tmp_path, capsys):
+    spec = tmp_path / "s.dq"
+    spec.write_text(
+        "spec s { source d { path 'd.csv'; }"
+        " object d from d { field a text matches '[a-z]+'; field b integer; } }",
+        encoding="utf-8",
+    )
+    (tmp_path / "d.csv").write_bytes(b'a,b\n"x\ry",1\n')
+    flagged = tmp_path / "fl.csv"
+    assert main(["check", str(spec), "--flagged", str(flagged)]) == 0
+    rows = report.read_flagged(str(flagged))
+    assert [(r["record"], r["rule_id"], r["raw_value"]) for r in rows] == [
+        ("1", "d.a.matches", "x\ry")
+    ]
 
 
 def _insert(piece: bytes):

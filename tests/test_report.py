@@ -1,14 +1,20 @@
 """Report rendering, canonical JSON, flagged protocol."""
 
+import csv
 import errno
 import io
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqspec import engine, report
 from dqspec.engine import QualityReport, RuleStat, ThresholdVerdict, Violation
+from dqspec.report import FLAGGED_HEADER
 from helpers import load_plan, write_csv
 
 
@@ -227,3 +233,101 @@ def test_flagged_row_count_equals_multiplicities(tmp_path, small_register_corpus
     rep = engine.run(plan, paths, violation_sink=writer.write)
     written = writer.close()
     assert written == sum(r.count for r in rep.rules)
+
+
+TWO_OBJECTS = """
+spec s {
+  source p { path 'p.csv'; }
+  source q { path 'q.csv'; }
+  object p from p {
+    field a text not null matches '[a-z]+';
+    field b text unique;
+  }
+  object q from q {
+    field a text maxlen 2;
+    field c text not null;
+  }
+}
+"""
+
+# cells the flagged protocol must quote or keep as they are
+_raw = st.text(alphabet=list(',"\r\n \x00abé日'), max_size=6)
+
+
+def _csv_reference(rows) -> bytes:
+    """The protocol formatted by the standard csv module: with a CRLF
+    terminator it quotes exactly the fields holding `,` `"` CR or LF."""
+    out = io.StringIO()
+    for row in rows:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        out.write(line.getvalue()[:-2] + "\n")
+    return out.getvalue().encode("utf-8")
+
+
+@given(
+    p_rows=st.lists(st.tuples(_raw, _raw), max_size=6),
+    q_rows=st.lists(st.tuples(_raw, _raw), max_size=6),
+    cap=st.sampled_from([None, 0, 1, 2, 3]),
+)
+@settings(max_examples=25, deadline=None)
+def test_flagged_lean_path_equals_the_violation_path(p_rows, q_rows, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, header, rows in (("p", ["a", "b"], p_rows), ("q", ["a", "c"], q_rows)):
+            with open(tmp / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+        (tmp / "s.dq").write_text(TWO_OBJECTS, encoding="utf-8")
+        plan, paths = load_plan(tmp / "s.dq")
+
+        viols: list[Violation] = []
+        engine.run(plan, paths, violation_sink=viols.append)
+        seen: dict[str, int] = {}
+        expected = [FLAGGED_HEADER]
+        for v in viols:
+            seen[v.rule_id] = seen.get(v.rule_id, 0) + 1
+            if cap is None or seen[v.rule_id] <= cap:
+                expected.append([v.record_ordinal, v.rule_id, v.field, v.raw_value, v.severity, v.message])
+        if cap is not None:
+            expected += [
+                ["", rule_id, "", "", "info", f"truncated: {n - cap} more violations"]
+                for rule_id, n in sorted(seen.items())
+                if n > cap
+            ]
+
+        for jobs in (1, 2):
+            outputs = []
+            for lean in (True, False):
+                flagged = tmp / "flagged.csv"
+                with report.FlaggedWriter(str(flagged), max_per_rule=cap) as writer:
+                    rep = engine.run(
+                        plan, paths, jobs=jobs, violation_sink=writer if lean else writer.write
+                    )
+                    rep = engine.with_flagged(rep, str(flagged), writer.close())
+                outputs.append((report.render_json(rep), flagged.read_bytes()))
+                assert [list(r.values()) for r in report.read_flagged(str(flagged))] == [
+                    [str(cell) for cell in row] for row in expected[1:]
+                ]
+            assert outputs[0] == outputs[1]
+            assert outputs[0][1] == _csv_reference(expected)
+
+
+def test_flagged_cap_spans_runs_into_one_writer(tmp_path):
+    # a rule's cap and marker count every run that writes to the writer
+    spec = tmp_path / "s.dq"
+    spec.write_text(
+        "spec s { source d { path 'd.csv'; } object d from d { field a text not null; } }",
+        encoding="utf-8",
+    )
+    write_csv(tmp_path / "d.csv", [["a"], [""], [" "], ["x"], [""]])
+    plan, paths = load_plan(spec)
+    outputs = []
+    for lean in (True, False):
+        buf = io.StringIO()
+        writer = report.FlaggedWriter(buf, max_per_rule=4)
+        for _ in range(2):
+            engine.run(plan, paths, violation_sink=writer if lean else writer.write)
+        assert writer.close() == 4
+        outputs.append(buf.getvalue())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n,d.a.not_null,,,info,truncated: 2 more violations\n")
