@@ -5,11 +5,25 @@ Execution is two-phase: reference lookup indexes are built first, then
 each object's source is streamed once. Every well-formed record goes
 through one generated, plan-specialised function (see `codegen`); its
 per-record results are merged sequentially, in record order, where
-uniqueness is tracked and violations are counted and emitted. With
-`jobs` > 1 the records travel in fixed-size chunks to worker processes
-running the same function, with at most two chunks per worker in
-flight, so reports and violation order are identical for any worker
-count.
+uniqueness is tracked and violations are counted and emitted.
+
+With `jobs` > 1 a regular file is cut into byte blocks of BLOCK_BYTES,
+each ending just after a newline, whatever the worker count; where no
+newline comes within 2 * BLOCK_BYTES, cutting stops and the rest of
+the file is read sequentially, so no block is larger. Each
+worker process reads, decodes and parses whole blocks itself, runs the
+same function and returns its block's record count, its violating and
+ragged records, and its unique-key values; at most two blocks per
+worker are in flight. A cut may fall inside a quoted field, so a block
+counts only when its strict parse uses up every byte of it: block 0
+starts at a record boundary, and each block that counts proves that
+the next one starts at one too. From the first block that does not
+count (a quoted newline across the cut, malformed CSV, invalid UTF-8)
+to the end of the file, the records are read and evaluated in the
+parent as at `jobs` 1, so an error is reported with the same record
+ordinal. A source that is not a regular file, a pipe say, is always
+read sequentially. Reports and violation order are identical for any
+worker count.
 
 Violations are ordered by (record ordinal, emitter order) where emitter
 order is: structure, then per field its type check followed by its
@@ -26,18 +40,26 @@ receives one `Violation` per violation instead.
 
 from __future__ import annotations
 
+import csv
+import io
+import os
+import stat
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
+from itertools import islice
+from operator import itemgetter
 
 from .codegen import Evaluator
-from .ingest import DataError, DatasetReader, dialect_from_source, open_dataset
+from .ingest import DataError, DatasetReader, csv_rows, dialect_from_source, open_dataset
 from .lang import ast
 from .lang.checker import ValidatedSpec
 from .values import ASCII_WS, format_decimal
 
-CHUNK_RECORDS = 4096  # records per chunk at jobs > 1; fixed, so chunks never depend on the worker count
+BLOCK_BYTES = 1 << 20  # bytes per block at jobs > 1; fixed, so blocks never depend on the worker count
+SCAN_BYTES = 4096  # read size while looking for the newline that ends a block
 
 
 # ------------------------------------------------------------------ data model
@@ -327,44 +349,143 @@ def _evaluated(records, evaluate):
             yield ordinal, viols, uvals
 
 
-# worker-process state for parallel evaluation
-_WORKER_EVALUATE = None
+# ------------------------------------------------------------ byte blocks
+
+def _cuts(path: str) -> list[tuple[int, int]]:
+    """(start, end) byte offsets of the blocks of the file at `path`,
+    from its start for as long as `_block_end` finds an end; none when
+    it is not a regular file."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return []
+    if not stat.S_ISREG(st.st_mode):
+        return []
+    cuts = []
+    with open(path, "rb") as fh:
+        start = 0
+        while start < st.st_size:
+            end = _block_end(fh, start, st.st_size)
+            if end is None:
+                break
+            cuts.append((start, end))
+            start = end
+    return cuts
 
 
-def _worker_init(plan: CheckPlan, obj_index: int, colmap: list[int], indexes):
+def _block_end(fh, start: int, size: int) -> int | None:
+    """The end of the block that starts at byte `start`: just after the
+    first newline at or past its byte BLOCK_BYTES - 1, or the end of the
+    file. None when no newline comes within 2 * BLOCK_BYTES of `start`,
+    so that no block is larger; the file is read SCAN_BYTES at a time."""
+    pos = start + BLOCK_BYTES - 1
+    limit = min(size, start + 2 * BLOCK_BYTES)
+    fh.seek(pos)
+    while pos < limit:
+        piece = fh.read(min(SCAN_BYTES, limit - pos))
+        if not piece:
+            return None  # the file shrank
+        i = piece.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(piece)
+    return size if pos >= size else None
+
+
+# worker-process state: (path, dialect, width, evaluate, the unique keys
+# of a ragged record)
+_WORKER = None
+
+
+def _worker_init(plan: CheckPlan, obj_index: int, colmap: list[int], indexes, path, dialect, width):
     import signal
 
     # Ctrl-C reaches the whole process group; only the parent handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _WORKER_EVALUATE
-    _WORKER_EVALUATE = Evaluator(plan.objects[obj_index], plan.spec, colmap, indexes).evaluate
+    global _WORKER
+    oplan = plan.objects[obj_index]
+    evaluate = Evaluator(oplan, plan.spec, colmap, indexes).evaluate
+    nkeys = sum(fs.unique_eidx is not None for fs in oplan.fields)
+    _WORKER = (path, dialect, width, evaluate, ((None, None),) * nkeys)
 
 
-def _worker_eval(chunk):
-    return list(_evaluated(chunk, _WORKER_EVALUATE))
+def _worker_block(start: int, end: int):
+    """Parse and evaluate bytes [start, end) of the source: (record
+    count, (local ordinal, viols) of each violating or ragged record,
+    per unique field its values and raw cells in record order), or None
+    when the bytes are not whole records of valid UTF-8 CSV. Block 0
+    holds the BOM and the header."""
+    path, dialect, width, evaluate, ragged_keys = _WORKER
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(end - start)
+    flagged = []
+    keys = []
+    count = 0
+    try:
+        text = data.decode("utf-8-sig" if start == 0 else "utf-8")
+        rows = csv_rows(io.StringIO(text, newline=""), dialect)
+        if start == 0 and dialect.has_header:
+            next(rows, None)
+        for count, cells in enumerate(rows, 1):
+            if len(cells) != width:
+                flagged.append((count, None))
+                keys.append(ragged_keys)
+                continue
+            viols, uvals = evaluate(cells)
+            if viols:
+                flagged.append((count, viols))
+            keys.append(uvals)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    ukeys = [(list(map(itemgetter(0), col)), list(map(itemgetter(1), col))) for col in zip(*keys)]
+    return count, flagged, ukeys
 
 
-def _chunks(reader):
-    buf = []
-    for record in reader:
-        buf.append(record)
-        if len(buf) >= CHUNK_RECORDS:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+_CLEAN = object()
 
 
-def _pooled(pool, reader, window: int):
-    """Results of every chunk evaluated on `pool`, in record order, with
-    at most `window` chunks submitted and not yet consumed."""
-    pending: deque = deque()
-    for chunk in _chunks(reader):
-        if len(pending) >= window:
-            yield from pending.popleft().result()
-        pending.append(pool.submit(_worker_eval, chunk))
+def _block_records(base: int, flagged, ukeys):
+    """(ordinal, viols, uvals) results of one block from its worker's
+    output, ordinals rebased by `base`. Without unique fields only the
+    flagged records matter to the merge."""
+    if not ukeys:
+        for i, viols in flagged:
+            yield base + i, viols, None
+        return
+    get = dict(flagged).get
+    for i, uvals in enumerate(zip(*[zip(vals, raws) for vals, raws in ukeys]), 1):
+        viols = get(i, _CLEAN)
+        yield base + i, ([] if viols is _CLEAN else viols), uvals
+
+
+def _pooled(pool, cuts, window: int, reader, make_evaluator):
+    """Results of every block evaluated on `pool`, in record order, with
+    at most `window` blocks submitted and not yet consumed. A block
+    counts only if its strict parse used up all of its bytes. Block 0
+    starts at a record boundary and each block that counts ends at one,
+    so `reader` can go on from the end of the last block that counted:
+    the rest of the file is read and evaluated here, by
+    `make_evaluator()`, and an error is reported as at jobs 1."""
+    todo = iter(cuts)
+    pending = deque((end, pool.submit(_worker_block, start, end)) for start, end in islice(todo, window))
+    base = stop = 0
     while pending:
-        yield from pending.popleft().result()
+        end, fut = pending.popleft()
+        out = fut.result()
+        if out is None:
+            break
+        nxt = next(todo, None)
+        if nxt is not None:
+            pending.append((nxt[1], pool.submit(_worker_block, *nxt)))
+        count, flagged, ukeys = out
+        yield from _block_records(base, flagged, ukeys)
+        base += count
+        stop = end
+    pool.shutdown(wait=False, cancel_futures=True)
+    if stop:
+        reader.seek(stop, base)
+    yield from _evaluated(reader, make_evaluator().evaluate)
 
 
 # ------------------------------------------------------------------- execution
@@ -466,7 +587,8 @@ def run(
         with open_dataset(path_of(oplan.source), dialect_from_source(src)) as reader:
             colmap = _resolve_columns(oplan, reader)
             counts = [0] * len(oplan.emitters)
-            if jobs <= 1:
+            cuts = _cuts(reader.path) if jobs > 1 else []
+            if not cuts:
                 evaluate = Evaluator(oplan, vspec, colmap, indexes).evaluate
                 results = _evaluated(reader, evaluate)
                 obj_invalid = _merge_all(results, oplan, counts, emit)
@@ -475,11 +597,12 @@ def run(
 
                 try:
                     with ProcessPoolExecutor(
-                        max_workers=jobs,
+                        max_workers=min(jobs, len(cuts)),
                         initializer=_worker_init,
-                        initargs=(plan, oi, colmap, indexes),
+                        initargs=(plan, oi, colmap, indexes, reader.path, reader.dialect, reader.width),
                     ) as pool:
-                        results = _pooled(pool, reader, 2 * jobs)
+                        make_evaluator = partial(Evaluator, oplan, vspec, colmap, indexes)
+                        results = _pooled(pool, cuts, 2 * jobs, reader, make_evaluator)
                         obj_invalid = _merge_all(results, oplan, counts, emit)
                 except BrokenProcessPool as exc:
                     raise DataError(
@@ -524,7 +647,7 @@ def _merge_all(results, oplan: ObjectPlan, counts, emit) -> int:
     viols)` call per record with violations. Returns the number of
     invalid records."""
     is_error = [m.severity == "error" for m in oplan.emitters]
-    unique = [(fs.unique_eidx, {}) for fs in oplan.fields if fs.unique_eidx is not None]
+    unique = [(fs.unique_eidx, set()) for fs in oplan.fields if fs.unique_eidx is not None]
     invalid = 0
     for ordinal, viols, uvals in results:
         if viols is None:
@@ -532,9 +655,13 @@ def _merge_all(results, oplan: ObjectPlan, counts, emit) -> int:
         elif unique:
             added = False
             for (eidx, seen), (v, raw) in zip(unique, uvals):
-                if v is not None and seen.setdefault(v, ordinal) != ordinal:
+                if v is None:
+                    continue
+                if v in seen:
                     viols.append((eidx, raw))
                     added = True
+                else:
+                    seen.add(v)
             if added:
                 viols.sort()  # an emitter fires at most once per record
         if not viols:

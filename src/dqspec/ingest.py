@@ -1,9 +1,10 @@
 """CSV ingestion: dialects and the forward reader over one CSV file.
 
-Readers are forward-only, stream one record at a time and deliver dense
-1-based record ordinals. Rows whose cell count disagrees with the
-declared width, a blank line among them, are surfaced as ragged records,
-never as exceptions. Input that is not CSV at all (a quote left open at
+Readers stream one record at a time and deliver dense 1-based record
+ordinals; `DatasetReader.seek` moves a reader to a known record
+boundary. Rows whose cell count disagrees with the declared width, a
+blank line among them, are surfaced as ragged records, never as
+exceptions. Input that is not CSV at all (a quote left open at
 the end of the file, text after a closing quote, a field longer than
 csv's limit of 131,072 characters) or not UTF-8 raises DataError.
 """
@@ -48,6 +49,13 @@ def dialect_from_source(src: ast.SourceDecl) -> DialectConfig:
     )
 
 
+def csv_rows(lines, dialect: DialectConfig):
+    """csv.reader over `lines` (a text stream opened with newline="").
+    strict: an unclosed quote or text after a closing quote raises
+    csv.Error instead of being read as some other record."""
+    return csv.reader(lines, delimiter=dialect.delimiter, quotechar=dialect.quote, strict=True)
+
+
 class DatasetReader:
     """Single-consumer forward reader over one CSV file.
 
@@ -65,11 +73,7 @@ class DatasetReader:
             self._fh = open(path, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise DataError(f"cannot open dataset {path!r}: {exc}") from None
-        # strict: an unclosed quote or text after a closing quote raises
-        # csv.Error instead of being read as some other record
-        self._rows = csv.reader(
-            self._fh, delimiter=dialect.delimiter, quotechar=dialect.quote, strict=True
-        )
+        self._rows = csv_rows(self._fh, dialect)
         self.header: list[str] | None = None
         self.width: int | None = None
         self.data_rows_read = 0
@@ -115,8 +119,16 @@ class DatasetReader:
                 f"{self.path}: header has no column {column!r}"
             ) from None
 
+    def seek(self, offset: int, ordinal: int) -> None:
+        """Go on reading at byte `offset`, where record `ordinal` + 1
+        starts; `offset` > 0, so no BOM or header is read there."""
+        self._fh.seek(offset)
+        self._rows = csv_rows(self._fh, self.dialect)
+        self._pending = None
+        self.data_rows_read = ordinal
+
     def __iter__(self):
-        ordinal = 0
+        ordinal = self.data_rows_read
         if self._pending is not None:
             ordinal = 1
             self.data_rows_read = 1

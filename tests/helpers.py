@@ -33,6 +33,33 @@ def child_env(**overrides: str) -> dict[str, str]:
     return env
 
 
+def main_captured(argv) -> tuple[int, bytes, str]:
+    """Exit code, standard output bytes and standard error of one
+    in-process `dqspec` command."""
+    import contextlib
+    import io
+
+    from dqspec.cli import main
+
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def check_captured(base: Path, jobs: int, *more: str) -> tuple[int, bytes, str, bytes | None]:
+    """Exit code, JSON report, standard error and flagged protocol (None
+    when none was written) of `check base/s.dq --jobs`; `more` adds
+    arguments."""
+    flagged = base / "flagged.csv"
+    if flagged.exists():
+        flagged.unlink()
+    argv = ["check", str(base / "s.dq"), "--report", "json", "--flagged", str(flagged)]
+    code, out, err = main_captured(argv + ["--jobs", str(jobs), *more])
+    return code, out, err, flagged.read_bytes() if flagged.exists() else None
+
+
 def run_spec(spec_path, jobs: int = 1, sink=None) -> engine.QualityReport:
     plan, paths = load_plan(spec_path)
     return engine.run(plan, paths, jobs=jobs, violation_sink=sink)

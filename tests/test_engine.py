@@ -307,7 +307,7 @@ def test_run_deterministic(small_register_corpus):
     assert a == b  # timestamps excluded from equality
 
 
-def test_partition_invariance_small(tmp_path):
+def test_partition_invariance_small(tmp_path, monkeypatch):
     rng = random.Random(31)
     spec = rand_executable_spec(rng)
     data = rand_dataset(rng, spec)
@@ -317,11 +317,14 @@ def test_partition_invariance_small(tmp_path):
     plan = engine.compile_plan(vspec)
     paths = {name: str(tmp_path / f"{name}.csv") for name in data}
     outs = []
-    for jobs in (1, 2, 3):
+    for jobs, block_bytes in ((1, None), (2, None), (3, None), (2, 64)):
+        if block_bytes is not None:
+            monkeypatch.setattr(engine, "BLOCK_BYTES", block_bytes)
+            assert len(engine._cuts(paths[plan.objects[0].source])) > 3
         viols = []
         rep = engine.run(plan, paths, jobs=jobs, violation_sink=viols.append)
         outs.append((rep, viols))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_oracle_equivalence_quick(tmp_path):
@@ -366,7 +369,8 @@ def test_jobs_window_bounds_pending_chunks(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     plan, paths = load_plan(tmp_path / "s.dq")
-    monkeypatch.setattr(engine, "CHUNK_RECORDS", 8)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 64)
+    assert len(engine._cuts(paths["reg"])) > 2 * 2 * 2
 
     outstanding = set()
     peak = [0]
