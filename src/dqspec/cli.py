@@ -5,6 +5,11 @@ output carries only the requested artifact (report, profiles, SQL);
 diagnostics go to standard error. Exit codes: 0 all thresholds pass,
 1 quality failure, 2 spec or usage error, 3 I/O or structural error
 (a dead worker process included), 130 interrupted.
+
+Each command raises; `main` alone maps an error class to its code and
+prints it, a spec's semantic errors one issue per line. `gen` exits 2 on
+a plan it cannot use (`bad plan: ...`) before it writes any file, and
+`profile --source-name` must be an identifier that is not a keyword.
 """
 
 from __future__ import annotations
@@ -16,13 +21,8 @@ from pathlib import Path
 
 from . import engine, report
 from .ingest import DataError, DialectConfig, open_dataset
-from .lang import (
-    SpecEncodingError,
-    SpecSyntaxError,
-    SpecValidationError,
-    check_spec,
-    parse_spec,
-)
+from .lang import SpecEncodingError, SpecSyntaxError, SpecValidationError, check_spec, parse_spec
+from .lang.lexer import KEYWORDS
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -31,57 +31,53 @@ EXIT_IO = 3
 EXIT_INTERRUPTED = 130
 
 
-def _err(msg: str):
-    print(msg, file=sys.stderr)
+class UsageError(Exception):
+    """A command line or outside input the command cannot use (exit 2)."""
 
 
 def _load_spec(path: str):
-    """Parse and validate a spec file; raises the lang exceptions."""
+    """The validated spec in a file; raises the lang exceptions."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read spec {path!r}: {exc}") from None
-    ast = parse_spec(data)
-    return ast, check_spec(ast)
+    return check_spec(parse_spec(data))
+
+
+def _pairs(items: list[str], flag: str, what: str) -> dict[str, str]:
+    """`name=value` arguments of a repeated option, in order."""
+    out = {}
+    for item in items:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise UsageError(f"{flag} expects {what}, got {item!r}")
+        out[name] = value
+    return out
 
 
 def _data_paths(vspec, spec_path: str, overrides: list[str]) -> dict[str, str]:
     """Source paths relative to the spec file, then --data overrides."""
     base = Path(spec_path).resolve().parent
     paths = {name: str((base / src.path)) for name, src in vspec.source_map.items()}
-    for item in overrides:
-        name, sep, p = item.partition("=")
-        if not sep:
-            raise ValueError(f"--data expects name=path, got {item!r}")
+    for name, p in _pairs(overrides, "--data", "name=path").items():
         if name not in paths:
-            raise ValueError(f"--data names unknown source {name!r}")
+            raise UsageError(f"--data names unknown source {name!r}")
         paths[name] = p
     return paths
 
 
 def _cmd_check(args) -> int:
-    try:
-        _ast, vspec = _load_spec(args.spec)
-        data_paths = _data_paths(vspec, args.spec, args.data)
-    except (SpecSyntaxError, SpecValidationError, SpecEncodingError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_SPEC
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    vspec = _load_spec(args.spec)
+    data_paths = _data_paths(vspec, args.spec, args.data)
     plan = engine.compile_plan(vspec)
-    try:
-        with (
-            report.FlaggedWriter(args.flagged, max_per_rule=args.max_flagged_per_rule)
-            if args.flagged
-            else contextlib.nullcontext()
-        ) as writer:
-            result = engine.run(plan, data_paths, jobs=args.jobs, violation_sink=writer)
-            if writer:
-                result = engine.with_flagged(result, args.flagged, writer.close())
-    except (DataError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_IO
+    with (
+        report.FlaggedWriter(args.flagged, max_per_rule=args.max_flagged_per_rule)
+        if args.flagged
+        else contextlib.nullcontext()
+    ) as writer:
+        result = engine.run(plan, data_paths, jobs=args.jobs, violation_sink=writer)
+        if writer:
+            result = engine.with_flagged(result, args.flagged, writer.close())
     if args.report == "json":
         sys.stdout.buffer.write(report.render_json(result))
     else:
@@ -90,19 +86,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate_spec(args) -> int:
-    try:
-        _load_spec(args.spec)
-    except (SpecSyntaxError, SpecEncodingError) as exc:
-        _err(str(exc))
-        return EXIT_SPEC
-    except SpecValidationError as exc:
-        for issue in exc.issues:
-            _err(str(issue))
-        return EXIT_SPEC
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    _err(f"{args.spec}: ok")
+    _load_spec(args.spec)
+    print(f"{args.spec}: ok", file=sys.stderr)
     return EXIT_OK
 
 
@@ -117,82 +102,44 @@ def _cmd_profile(args) -> int:
             null_tokens=tuple(args.null_token) if args.null_token else ("",),
         )
     except ValueError as exc:
-        _err(str(exc))
-        return EXIT_SPEC
-    try:
-        with open_dataset(args.data, dialect) as reader:
-            profiles = profiler.profile(reader, top_k=args.top)
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_IO
+        raise UsageError(str(exc)) from None
+    name = args.source_name
+    if name is not None and not (name.isascii() and name.isidentifier() and name not in KEYWORDS):
+        raise UsageError(f"--source-name must be a non-keyword identifier, got {name!r}")
+    with open_dataset(args.data, dialect) as reader:
+        profiles = profiler.profile(reader, top_k=args.top)
     if args.report == "json":
         sys.stdout.buffer.write(profiler.render_profiles_json(profiles))
     else:
         sys.stdout.write(profiler.render_profiles_text(profiles))
     if args.suggest:
         if not profiles:
-            _err("nothing to suggest: dataset has no columns")
-            return EXIT_IO
-        source_name = args.source_name or _ident_from_path(args.data)
+            raise DataError("nothing to suggest: dataset has no columns")
         spec, notes = profiler.suggest_spec(
             profiles,
-            source_name=source_name,
+            source_name=name or profiler._identifier_for(Path(args.data).stem, set()),
             path=Path(args.data).name,
             has_header=not args.no_header,
         )
-        text = profiler.render_draft(spec, notes)
-        try:
-            Path(args.suggest).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
-        _err(f"draft spec written to {args.suggest}")
+        Path(args.suggest).write_text(profiler.render_draft(spec, notes), encoding="utf-8")
+        print(f"draft spec written to {args.suggest}", file=sys.stderr)
     return EXIT_OK
-
-
-def _ident_from_path(p: str) -> str:
-    stem = Path(p).stem
-    out = "".join(ch if ch.isascii() and (ch.isalnum() or ch == "_") else "_" for ch in stem)
-    if not out or not (out[0].isalpha() or out[0] == "_"):
-        out = "data_" + out
-    return out.lower()
 
 
 def _cmd_emit_sql(args) -> int:
     from . import sqlgen
 
+    vspec = _load_spec(args.spec)
+    # an explicit mapping must name every needed source
+    tables = _pairs(args.tables, "--tables", "source=table")
+    tables = tables or {name: name for name in vspec.source_map}
     try:
-        _ast, vspec = _load_spec(args.spec)
-    except (SpecSyntaxError, SpecValidationError, SpecEncodingError) as exc:
-        _err(str(exc))
-        return EXIT_SPEC
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    if args.tables:
-        # explicit mapping: every needed source must be named
-        tables = {}
-        for item in args.tables:
-            name, sep, table = item.partition("=")
-            if not sep:
-                _err(f"--tables expects source=table, got {item!r}")
-                return EXIT_SPEC
-            tables[name] = table
-    else:
-        tables = {name: name for name in vspec.source_map}
-    plan = engine.compile_plan(vspec)
-    try:
-        suite = sqlgen.emit_sql(plan, tables)
+        suite = sqlgen.emit_sql(engine.compile_plan(vspec), tables)
     except sqlgen.UnmappedSource as exc:
-        _err(str(exc))
-        return EXIT_SPEC
+        raise UsageError(str(exc)) from None
     text = sqlgen.render_suite(suite)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -201,28 +148,20 @@ def _cmd_emit_sql(args) -> int:
 def _cmd_gen(args) -> int:
     from . import corpus
 
+    data = Path(args.plan).read_bytes()
+    # the plan is outside input: whatever it gets wrong is a usage error
     try:
-        data = Path(args.plan).read_bytes()
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    try:
-        plan = corpus.plan_from_json(data)
-    except (ValueError, KeyError) as exc:
-        _err(f"bad plan: {exc}")
-        return EXIT_SPEC
-    try:
-        result = corpus.generate(plan, args.out, seed=args.seed)
+        result = corpus.generate(corpus.plan_from_json(data), args.out, seed=args.seed)
     except corpus.InfeasiblePlan as exc:
-        _err(str(exc))
-        return EXIT_SPEC
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+        raise UsageError(str(exc)) from None
+    except KeyError as exc:
+        raise UsageError(f"bad plan: missing {exc}") from None
+    except (ValueError, TypeError, SpecSyntaxError, SpecValidationError) as exc:
+        raise UsageError(f"bad plan: {exc}") from None
     for name, path in result.dataset_paths.items():
-        _err(f"dataset {name}: {path}")
-    _err(f"reference spec: {result.spec_path}")
-    _err(f"manifest: {result.manifest_path}")
+        print(f"dataset {name}: {path}", file=sys.stderr)
+    print(f"reference spec: {result.spec_path}", file=sys.stderr)
+    print(f"manifest: {result.manifest_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -288,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every exit code but 0 and 1 is decided here."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -296,8 +236,17 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except SpecValidationError as exc:
+        print(*exc.issues, sep="\n", file=sys.stderr)
+        return EXIT_SPEC
+    except (SpecSyntaxError, SpecEncodingError, UsageError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SPEC
+    except (DataError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_IO
     except KeyboardInterrupt:
-        _err("interrupted")
+        print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 
 

@@ -131,6 +131,8 @@ def plan_to_json(plan: CorpusPlan) -> bytes:
 
 def plan_from_json(data: bytes | str) -> CorpusPlan:
     doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError("a plan must be a JSON object")
     return CorpusPlan(
         name=doc["name"],
         seed=doc["seed"],
@@ -474,18 +476,15 @@ class GenResult:
 def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> GenResult:
     """Write all datasets, the reference spec and the manifest.
 
-    Same plan and seed produce byte-identical files."""
+    Same plan and seed produce byte-identical files. Everything derived
+    from the plan is built before the first file is opened, so a plan
+    that cannot be used raises without writing anything."""
     import csv
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = plan.seed if seed is None else seed
-
     spec = reference_spec(plan)
-    check_spec(spec)  # a plan that yields an invalid spec is a bug
+    check_spec(spec)
     spec_text = format_spec(spec)
-    spec_path = out / f"{plan.name}.dq"
-    spec_path.write_text(spec_text, encoding="utf-8")
 
     target = plan.dataset(plan.object_dataset)
     rng_sample = random.Random(f"{seed}:inject")
@@ -505,19 +504,26 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
             mutations.setdefault(o, []).extend(
                 (col_index[col], val) for col, val in muts
             )
-
-    dataset_paths: dict[str, Path] = {}
+    rows_by_dataset = []  # (ordinals, compiled generators) per dataset
     for d in plan.datasets:
+        idx = {c.name: i for i, c in enumerate(d.columns)}
+        gens = [_compile_gen(c.gen, idx) for c in d.columns]
+        rows_by_dataset.append((range(1, d.records + 1), gens))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    spec_path = out / f"{plan.name}.dq"
+    spec_path.write_text(spec_text, encoding="utf-8")
+    dataset_paths: dict[str, Path] = {}
+    for d, (ordinals, gens) in zip(plan.datasets, rows_by_dataset):
         path = out / d.filename
         dataset_paths[d.name] = path
         rng_rows = random.Random(f"{seed}:rows:{d.name}")
-        idx = {c.name: i for i, c in enumerate(d.columns)}
-        gens = [_compile_gen(c.gen, idx) for c in d.columns]
         is_target = d.name == target.name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow([c.name for c in d.columns])
-            for i in range(1, d.records + 1):
+            for i in ordinals:
                 row = []
                 for g in gens:
                     row.append(g(rng_rows, i, row))

@@ -59,7 +59,6 @@ from .lang.checker import ValidatedSpec
 from .values import ASCII_WS, format_decimal
 
 BLOCK_BYTES = 1 << 20  # bytes per block at jobs > 1; fixed, so blocks never depend on the worker count
-SCAN_BYTES = 4096  # read size while looking for the newline that ends a block
 
 
 # ------------------------------------------------------------------ data model
@@ -377,19 +376,13 @@ def _block_end(fh, start: int, size: int) -> int | None:
     """The end of the block that starts at byte `start`: just after the
     first newline at or past its byte BLOCK_BYTES - 1, or the end of the
     file. None when no newline comes within 2 * BLOCK_BYTES of `start`,
-    so that no block is larger; the file is read SCAN_BYTES at a time."""
+    so that no block is larger, or when the file shrank."""
     pos = start + BLOCK_BYTES - 1
-    limit = min(size, start + 2 * BLOCK_BYTES)
     fh.seek(pos)
-    while pos < limit:
-        piece = fh.read(min(SCAN_BYTES, limit - pos))
-        if not piece:
-            return None  # the file shrank
-        i = piece.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(piece)
-    return size if pos >= size else None
+    line = fh.readline(max(0, min(size, start + 2 * BLOCK_BYTES) - pos))
+    if line.endswith(b"\n"):
+        return pos + len(line)
+    return size if pos + len(line) >= size else None
 
 
 # worker-process state: (path, dialect, width, evaluate, the unique keys

@@ -91,7 +91,11 @@ def tokenize(text: str) -> list[Token]:
                 toks.append(Token("number", word, Decimal(word), pos))
             else:
                 word = text[i:j]
-                toks.append(Token("int", word, int(word), pos))
+                try:
+                    value = int(word)
+                except ValueError:  # past the interpreter's limit on int() digits
+                    raise SpecSyntaxError(pos, ["a shorter integer"], f"{len(word)} digits") from None
+                toks.append(Token("int", word, value, pos))
             advance(j - i)
             continue
         if ch == "'":

@@ -222,10 +222,12 @@ class FlaggedWriter:
     each emitter's rule id, field, severity and message once per object,
     and the returned `emit(ordinal, viols)` writes a record's
     (emitter index, raw value) violations as one string of preformatted
-    lines, counting and capping by emitter index. `write(violation)`,
-    also reached by calling the writer, formats one Violation the same
-    way. A field is quoted when it holds a comma, a quote, a CR or an LF,
-    so every raw value reads back exactly.
+    lines. `write(violation)`, also reached by calling the writer,
+    formats one Violation the same way. Each rule id has one counter
+    cell, found by rule id in `write` and by emitter index in `emit`, so
+    a rule's cap holds across objects, runs and both entry points. A
+    field is quoted when it holds a comma, a quote, a CR or an LF, so
+    every raw value reads back exactly.
 
     Given a path, the protocol goes to a sibling temporary file that
     close() renames over the path, so a run that fails never leaves a
@@ -243,8 +245,7 @@ class FlaggedWriter:
         self._own = isinstance(sink, (str, bytes))
         self._tmp = st = None
         self._cap = max_per_rule
-        self._seen: dict[str, int] = {}  # rule id -> violations, for the markers
-        self._pass = None  # (emitters, per-emitter counts) of the open object pass
+        self._seen: dict[str, list[int]] = {}  # rule id -> [violations so far]
         self.written = 0
         self._closed = False
         if not self._own:
@@ -265,8 +266,8 @@ class FlaggedWriter:
             raise
 
     def write(self, v: Violation) -> bool:
-        n = self._seen.get(v.rule_id, 0) + 1
-        self._seen[v.rule_id] = n
+        cell = self._seen.setdefault(v.rule_id, [0])
+        n = cell[0] = cell[0] + 1
         if self._cap is not None and n > self._cap:
             return False
         self._fh.write(
@@ -285,14 +286,13 @@ class FlaggedWriter:
         heads = [f"{field(m.rule_id)},{field(m.field)}," for m in emitters]
         tails = [f",{field(m.severity)},{field(m.message)}\n" for m in emitters]
         cap = math.inf if self._cap is None else self._cap
-        self._fold()
-        seen = [self._seen.get(m.rule_id, 0) for m in emitters]
-        self._pass = (emitters, seen)
+        cells = [self._seen.setdefault(m.rule_id, [0]) for m in emitters]
 
         def emit(ordinal, viols):
             lines = []
             for e, raw in viols:
-                n = seen[e] = seen[e] + 1
+                cell = cells[e]
+                n = cell[0] = cell[0] + 1
                 if n <= cap:
                     lines.append(f"{ordinal},{heads[e]}{field(raw)}{tails[e]}")
             if lines:
@@ -301,24 +301,14 @@ class FlaggedWriter:
 
         return emit
 
-    def _fold(self) -> None:
-        """Move the counts of the last object pass into the per-rule
-        counts, so a rule seen again continues from its count."""
-        if self._pass is not None:
-            for m, n in zip(*self._pass):
-                if n:
-                    self._seen[m.rule_id] = n
-            self._pass = None
-
     def close(self) -> int:
         if self._closed:
             return self.written
         self._closed = True
         try:
             if self._cap is not None:
-                self._fold()
-                for rule_id in sorted(self._seen):
-                    omitted = self._seen[rule_id] - self._cap
+                for rule_id, (n,) in sorted(self._seen.items()):
+                    omitted = n - self._cap
                     if omitted > 0:
                         message = f"truncated: {omitted} more violations"
                         self._fh.write(_csv_line("", rule_id, "", "", "info", message))

@@ -80,6 +80,7 @@ def test_check_unknown_field_exit_2_with_position(tmp_path, capsys):
     assert main(["check", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "UnknownField" in err and ":" in err
+    assert "Traceback" not in err
 
 
 def test_check_missing_data_exit_3(tmp_path, capsys):
@@ -89,7 +90,8 @@ def test_check_missing_data_exit_3(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["check", str(spec)]) == 3
-    assert "missing.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "missing.csv" in err and "Traceback" not in err
 
 
 def test_check_data_override(tmp_path, capsys):
@@ -119,7 +121,18 @@ def test_validate_spec_syntax_error_exit_2(tmp_path, capsys):
     spec = tmp_path / "bad.dq"
     spec.write_text("spek", encoding="utf-8")
     assert main(["validate-spec", str(spec)]) == 2
-    assert "1:1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1:1" in err and "Traceback" not in err
+    # an integer literal past int()'s digit limit is a syntax error too
+    spec.write_text(
+        "spec s { source d { path 'd.csv'; } object d from d {"
+        f" field a text minlen {'9' * 5000}; }} }}",
+        encoding="utf-8",
+    )
+    for command in ("validate-spec", "check", "emit-sql"):
+        assert main([command, str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err == "1:75: expected a shorter integer, found 5000 digits\n", err
 
 
 def test_validate_spec_lists_all_semantic_errors(tmp_path, capsys):
@@ -131,8 +144,14 @@ def test_validate_spec_lists_all_semantic_errors(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["validate-spec", str(spec)]) == 2
-    err_lines = [l for l in capsys.readouterr().err.splitlines() if l]
+    err = capsys.readouterr().err
+    err_lines = [l for l in err.splitlines() if l]
     assert len(err_lines) >= 3
+    assert "Traceback" not in err
+    # check and emit-sql print the same issues, one per line
+    for argv in (["check", str(spec)], ["emit-sql", str(spec)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_profile_prints_and_suggest_validates(tmp_path, capsys):
@@ -145,8 +164,67 @@ def test_profile_prints_and_suggest_validates(tmp_path, capsys):
     assert main(["validate-spec", str(out_spec)]) == 0
 
 
+@pytest.mark.parametrize("stem", ["date", "path", "text", "spec", "2019 data"])
+def test_profile_suggest_names_the_source_so_the_draft_validates(tmp_path, capsys, stem):
+    data = write_csv(tmp_path / f"{stem}.csv", [["n"], ["1"], ["2"]])
+    draft = tmp_path / "d.dq"
+    assert main(["profile", data, "--suggest", str(draft)]) == 0
+    capsys.readouterr()
+    assert main(["validate-spec", str(draft)]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bad name", "date", "1st", "é"])
+def test_profile_source_name_not_an_identifier_exit_2(tmp_path, capsys, name):
+    data = write_csv(tmp_path / "d.csv", [["n"], ["1"]])
+    draft = tmp_path / "d.dq"
+    assert main(["profile", data, "--suggest", str(draft), "--source-name", name]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--source-name" in out.err and "Traceback" not in out.err
+    assert not draft.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{spec}", "--data", "d"],
+        ["check", "{spec}", "--data", "nope=x.csv"],
+        ["emit-sql", "{spec}", "--tables", "d"],
+        ["profile", "{data}", "--delimiter", ";;"],
+    ],
+)
+def test_bad_option_values_exit_2(tmp_path, capsys, argv):
+    spec, data = _write_spec(tmp_path, [["a"], ["x"]])
+    assert main([a.format(spec=spec, data=data) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+def test_engine_bug_is_not_an_exit_code(tmp_path, capsys, monkeypatch):
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"]])
+
+    def broken_run(*_args, **_kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(engine, "run", broken_run)
+    with pytest.raises(ValueError, match="engine bug"):
+        main(["check", spec])
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    code = (
+        "import sys, dqspec.cli; "
+        "lazy = ['dqspec.corpus', 'dqspec.profiler', 'dqspec.sqlgen', 'concurrent.futures']; "
+        "print([m for m in lazy if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_profile_missing_file_exit_3(tmp_path, capsys):
     assert main(["profile", str(tmp_path / "nope.csv")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_emit_sql_deterministic_and_exit_codes(tmp_path, capsys):
@@ -163,6 +241,7 @@ def test_emit_sql_deterministic_and_exit_codes(tmp_path, capsys):
     assert out_file.read_text() == one
 
     assert main(["emit-sql", spec, "--tables", "wrong=t"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gen_deterministic_and_manifest(tmp_path, capsys):
@@ -187,21 +266,56 @@ def test_gen_deterministic_and_manifest(tmp_path, capsys):
     assert a != c
 
 
-def test_gen_infeasible_exit_2(tmp_path, capsys):
-    plan = corpus.licences_plan(records=10)
-    import dataclasses
+def _plan_text(edit) -> str:
+    """The licences plan at 10 records and without injections, as JSON
+    after `edit(plan document, its columns by name)`."""
+    plan = dataclasses.replace(corpus.licences_plan(records=10), injections=())
+    doc = json.loads(corpus.plan_to_json(plan))
+    edit(doc, {c["name"]: c for c in doc["datasets"][0]["columns"]})
+    return json.dumps(doc)
 
-    plan = dataclasses.replace(
-        plan,
-        injections=(corpus.Injection(None, 20, {"kind": "blank", "column": "hours"}),),
-    )
+
+def _inject(kind: str, count: int = 1):
+    recipe = {"kind": kind, "column": "hours"}
+    return lambda doc, cols: doc.update(injections=[{"rule": None, "count": count, "recipe": recipe}])
+
+
+# plan edits, and what the one line on standard error must name
+PLAN_EDITS = {
+    "infeasible": (_inject("blank", count=20), "20"),
+    "unknown generator kind": (lambda doc, cols: cols["hours"]["gen"].update(kind="gauss"), "'gauss'"),
+    "unknown field type": (lambda doc, cols: cols["hours"]["field"].update(type="float"), "'float'"),
+    "unknown recipe kind": (_inject("swap"), "'swap'"),
+    "missing generator key": (lambda doc, cols: cols["hours"]["gen"].pop("hi"), "'hi'"),
+    "record rule that does not parse": (
+        lambda doc, cols: doc["record_rules"][0].update(expr="decision is"),
+        "expected 'null'",
+    ),
+    "pattern outside the subset": (
+        lambda doc, cols: cols["regnum"]["field"]["constraints"][1].update(pattern="(?i)x"),
+        "'(?i)x'",
+    ),
+    "JSON array": (None, "JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_EDITS)
+def test_gen_infeasible_exit_2(tmp_path, capsys, case):
+    edit, named = PLAN_EDITS[case]
     plan_path = tmp_path / "plan.json"
-    plan_path.write_bytes(corpus.plan_to_json(plan))
-    assert main(["gen", str(plan_path), "--out", str(tmp_path / "o")]) == 2
+    plan_path.write_text(_plan_text(edit) if edit else "[]", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["gen", str(plan_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err and "Traceback" not in err, err
+    if case != "infeasible":
+        assert err.startswith("bad plan: "), err
+    assert not out.exists()
 
 
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_zero_record_dataset_exit_0(tmp_path, capsys):
@@ -217,6 +331,7 @@ def test_jobs_below_one_exit_2(tmp_path, capsys):
         assert main(["check", spec, "--jobs", jobs]) == 2
         err = capsys.readouterr().err
         assert "--jobs" in err and "at least 1" in err
+        assert "Traceback" not in err
 
 
 def test_negative_max_flagged_per_rule_exit_2(tmp_path, capsys):
@@ -224,7 +339,8 @@ def test_negative_max_flagged_per_rule_exit_2(tmp_path, capsys):
     flagged = tmp_path / "f.csv"
     code = main(["check", spec, "--flagged", str(flagged), "--max-flagged-per-rule", "-1"])
     assert code == 2
-    assert "--max-flagged-per-rule" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--max-flagged-per-rule" in err and "Traceback" not in err
     assert not flagged.exists()
 
 
@@ -233,6 +349,7 @@ def test_profile_top_below_zero_exit_2(tmp_path, capsys):
     assert main(["profile", data, "--top", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--top" in err and "at least 0" in err
+    assert "Traceback" not in err
     assert main(["profile", data, "--top", "0"]) == 0
 
 
@@ -257,6 +374,7 @@ def test_malformed_csv_exit_3(tmp_path, capsys):
             out = capsys.readouterr()
             assert out.out == ""
             assert name in out.err and "malformed CSV in record 1" in out.err, out.err
+            assert "Traceback" not in out.err
 
 
 def test_malformed_csv_leaves_no_flagged_protocol(tmp_path, capsys):
@@ -269,7 +387,8 @@ def test_malformed_csv_leaves_no_flagged_protocol(tmp_path, capsys):
     flagged = tmp_path / "fl.csv"
     argv = ["check", str(spec), "--flagged", str(flagged)]
     assert main(argv) == 3
-    assert "malformed CSV in record 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed CSV in record 2" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.dq"]
     old = b"record,rule_id\nfrom an earlier run\n"
     flagged.write_bytes(old)
