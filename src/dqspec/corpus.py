@@ -315,8 +315,15 @@ def _template_value(rng: random.Random, t: str) -> str:
     return "".join(out)
 
 
+def _check_range(kind: str, lo, hi, gen: dict):
+    if hi < lo:
+        raise ValueError(f"generator {kind!r} has hi {gen['hi']!r} below lo {gen['lo']!r}")
+
+
 def _compile_gen(gen: dict, col_index: dict[str, int]):
-    """Compile a generator dict to fn(rng, ordinal, row) -> str."""
+    """Compile a generator dict to fn(rng, ordinal, row) -> str; raises
+    ValueError for arguments that could not make a value, so a plan
+    fails before any file is written."""
     kind = gen["kind"]
     if kind == "seq":
         prefix = gen.get("prefix", "")
@@ -325,6 +332,8 @@ def _compile_gen(gen: dict, col_index: dict[str, int]):
         return lambda rng, i, row: f"{prefix}{start + i - 1:0{width}d}"
     if kind == "digits":
         n = int(gen["n"])
+        if n < 1:
+            raise ValueError(f"generator 'digits' needs n >= 1, got {n}")
         lo = 10 ** (n - 1)
         hi = 10**n
         return lambda rng, i, row: str(rng.randrange(lo, hi))
@@ -333,12 +342,14 @@ def _compile_gen(gen: dict, col_index: dict[str, int]):
         return lambda rng, i, row: _template_value(rng, t)
     if kind == "int":
         lo, hi = int(gen["lo"]), int(gen["hi"])
+        _check_range(kind, lo, hi, gen)
         return lambda rng, i, row: str(rng.randrange(lo, hi + 1))
     if kind == "dec":
         scale = int(gen.get("scale", 2))
         mul = 10**scale
         lo = int(round(float(gen["lo"]) * mul))
         hi = int(round(float(gen["hi"]) * mul))
+        _check_range(kind, lo, hi, gen)
 
         def dec_fn(rng, i, row, _lo=lo, _hi=hi, _mul=mul, _scale=scale):
             v = rng.randrange(_lo, _hi + 1)
@@ -350,17 +361,21 @@ def _compile_gen(gen: dict, col_index: dict[str, int]):
         fmt = gen.get("fmt", "YYYY-MM-DD")
         lo_ord = date.fromisoformat(gen["lo"]).toordinal()
         hi_ord = date.fromisoformat(gen["hi"]).toordinal()
+        _check_range(kind, lo_ord, hi_ord, gen)
         return lambda rng, i, row: _rand_date_text(rng, lo_ord, hi_ord, fmt)
-    if kind == "choice":
+    if kind in ("choice", "cycle"):
         values = list(gen["values"])
-        return lambda rng, i, row: rng.choice(values)
-    if kind == "cycle":
-        values = list(gen["values"])
+        if not values:
+            raise ValueError(f"generator {kind!r} needs at least one value")
+        if kind == "choice":
+            return lambda rng, i, row: rng.choice(values)
         n = len(values)
         return lambda rng, i, row: values[(i - 1) % n]
     if kind == "words":
         lo = int(gen.get("min", 1))
         hi = int(gen.get("max", 3))
+        if hi < lo:
+            raise ValueError(f"generator 'words' has max {hi} below min {lo}")
         title = bool(gen.get("title", False))
 
         def words_fn(rng, i, row, _lo=lo, _hi=hi, _title=title):

@@ -1,14 +1,24 @@
 """Single-pass column profiling and draft-spec suggestion.
 
 Each column keeps one count table, from every trimmed non-null text to
-its number of occurrences, next to its record and null counts. All else
-is derived from the table once per distinct text: how many non-null
-cells parse as integer, decimal or each date preset, min/max per
-candidate type, max length, the distinct count and top-k frequencies.
-The table is full at DISTINCT_CAP + 1 texts; a text first seen after
-that is tallied on the spot and not ranked, so parse tallies, ranges and
-null counts stay exact while the distinct count and top-k become
-approximate.
+its number of occurrences, next to its record and null counts. Rows are
+read in chunks of CHUNK_ROWS; each column of a chunk is trimmed and
+counted by one Counter.update, so the hashing runs in C, and the null
+tokens are popped back out of the table. A chunk with a ragged row, or
+one that could fill a column's table, is counted cell by cell instead.
+
+All else is derived from the table once per distinct text: how many
+non-null cells parse as integer, decimal or each date preset, min/max
+per candidate type, max length, the distinct count and top-k
+frequencies. Only a text that starts with a sign, a point or a digit is
+parsed as a number, and only a text of the presets' length as a date.
+Ranges are kept as running bounds in table order, which is first-seen
+order, so among equal values (1.0, 1.00) the first seen is the bound.
+
+The table of each column is full at DISTINCT_CAP + 1 texts; a text
+first seen after that is tallied on the spot and not ranked, so parse
+tallies, ranges and null counts stay exact while the distinct count and
+top-k become approximate.
 
 suggest_spec turns profiles into a draft specification with provenance
 comments; the draft always favors the narrowest type with full
@@ -17,9 +27,13 @@ agreement and never proposes a constraint its own evidence violates.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import neg
 
 from .ingest import DatasetReader
 from .lang import ast
@@ -29,8 +43,13 @@ from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int, compile_date_f
 
 DATE_PRESETS = ("YYYY-MM-DD", "DD.MM.YYYY", "DD/MM/YYYY")
 _PRESET_FORMATS = tuple(compile_date_format(f) for f in DATE_PRESETS)
+(_DATE_LENGTH,) = {df.length for df in _PRESET_FORMATS}
+_NUMBER_START = frozenset("+-.0123456789")
 
 DISTINCT_CAP = 1_000_000
+# rows counted per column at a time; small, so a chunk's cells add
+# little to the peak memory
+CHUNK_ROWS = 64
 
 
 @dataclass
@@ -58,11 +77,13 @@ class ColumnProfile:
 
 
 class _ColumnAcc:
-    __slots__ = ("profile", "counts")
+    __slots__ = ("profile", "counts", "late")
 
     def __init__(self, name: str):
         self.profile = ColumnProfile(name=name)
-        self.counts: dict[str, int] = {}
+        self.counts: Counter[str] = Counter()
+        # (min, max) per type over the texts tallied past the cap
+        self.late: dict[str, tuple] = {}
 
     def add(self, raw: str, null_tokens: tuple[str, ...]):
         p = self.profile
@@ -78,57 +99,126 @@ class _ColumnAcc:
             counts[t] = 1
         else:
             # the table is full: tally the text now, it is never ranked
-            self._tally(t, 1)
+            for key, (lo, hi) in _classify(p, ((t, 1),)).items():
+                _fold(self.late, key, lo, hi)
 
-    def _tally(self, t: str, n: int):
-        """Count `n` occurrences of the non-null text `t`."""
+    def add_column(self, col: tuple[str, ...], null_tokens: tuple[str, ...]):
+        """Count one column of a chunk of rows, as `add` on each cell."""
+        counts = self.counts
+        if len(counts) + len(col) > DISTINCT_CAP + 1:
+            # the chunk could fill the table: only `add` knows which
+            # texts still enter it
+            for raw in col:
+                self.add(raw, null_tokens)
+            return
         p = self.profile
-        if len(t) > p.max_length:
-            p.max_length = len(t)
-        typed = False
-        v = parse_int(t)
-        if v is not None:
-            p.integers += n
-            typed = True
-            self._minmax("integer", v, v)
-        if DEC_RE.fullmatch(t):
-            v = Decimal(t)
-            p.decimals += n
-            typed = True
-            self._minmax("decimal", v, v)
-        for fmt, df in zip(DATE_PRESETS, _PRESET_FORMATS):
-            d = parse_date_text(t, df)
-            if d is not None:
-                p.dates[fmt] += n
-                typed = True
-                self._minmax(f"date:{fmt}", d, d)
-        if not typed:
-            p.text_only += n
-            self._minmax("text", t, t)
-
-    def _minmax(self, key: str, lo, hi):
-        # min and max keep the value already held on a tie, so among
-        # equal values (1.0, 1.00) the first seen one stays
-        mm = self.profile.minmax.get(key)
-        if mm is None:
-            self.profile.minmax[key] = (lo, hi)
-        else:
-            self.profile.minmax[key] = (min(mm[0], lo), max(mm[1], hi))
+        p.records += len(col)
+        counts.update(map(str.strip, col, repeat(ASCII_WS)))
+        for tok in null_tokens:
+            p.nulls += counts.pop(tok, 0)
 
     def finish(self, top_k: int) -> ColumnProfile:
         p = self.profile
         # every text in the table was seen before any text past it, so
         # the past-cap ranges are folded in after the table's own
-        late, p.minmax = p.minmax, {}
-        for t, n in self.counts.items():
-            self._tally(t, n)
-        for key, (lo, hi) in late.items():
-            self._minmax(key, lo, hi)
+        p.minmax = _classify(p, self.counts.items())
+        for key, (lo, hi) in self.late.items():
+            _fold(p.minmax, key, lo, hi)
         p.distinct = len(self.counts)
         p.distinct_approx = len(self.counts) > DISTINCT_CAP
-        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        p.top = tuple(ranked[:top_k])
+        # (-count, text) pairs are unique, so this is the sorted order
+        best = heapq.nsmallest(top_k, zip(map(neg, self.counts.values()), self.counts))
+        p.top = tuple((t, -m) for m, t in best)
         return p
+
+
+def _fold(minmax: dict[str, tuple], key: str, lo, hi):
+    # min and max keep the value already held on a tie, so among equal
+    # values (1.0, 1.00) the first seen one stays
+    mm = minmax.get(key)
+    if mm is None:
+        minmax[key] = (lo, hi)
+    else:
+        minmax[key] = (lo if lo < mm[0] else mm[0], hi if hi > mm[1] else mm[1])
+
+
+def _classify(p: ColumnProfile, items) -> dict[str, tuple]:
+    """Add `n` occurrences of each non-null text `t` of the (t, n) pairs
+    `items` to p's parse tallies and max length, and return the (min, max)
+    of each candidate type over them, the first seen value kept on a tie.
+
+    Only a text that starts with a sign, a point or a digit can be an
+    integer or a decimal, and only one of the presets' length can be a
+    date, so every other text skips those parses."""
+    ints = decs = text_only = 0
+    max_length = p.max_length
+    ilo = ihi = dlo = dhi = tlo = thi = None
+    ndates = [0] * len(_PRESET_FORMATS)
+    dtlo = [None] * len(_PRESET_FORMATS)
+    dthi = [None] * len(_PRESET_FORMATS)
+    for t, n in items:
+        length = len(t)
+        if length > max_length:
+            max_length = length
+        typed = False
+        if t[:1] in _NUMBER_START:
+            v = parse_int(t)
+            if v is not None:
+                ints += n
+                typed = True
+                if ilo is None:
+                    ilo = ihi = v
+                elif v < ilo:
+                    ilo = v
+                elif v > ihi:
+                    ihi = v
+            # every integer text is a decimal text too
+            if typed or DEC_RE.fullmatch(t):
+                v = Decimal(t)
+                decs += n
+                typed = True
+                if dlo is None:
+                    dlo = dhi = v
+                elif v < dlo:
+                    dlo = v
+                elif v > dhi:
+                    dhi = v
+        if length == _DATE_LENGTH:
+            for i, df in enumerate(_PRESET_FORMATS):
+                d = parse_date_text(t, df)
+                if d is not None:
+                    ndates[i] += n
+                    typed = True
+                    if dtlo[i] is None:
+                        dtlo[i] = dthi[i] = d
+                    elif d < dtlo[i]:
+                        dtlo[i] = d
+                    elif d > dthi[i]:
+                        dthi[i] = d
+        if not typed:
+            text_only += n
+            if tlo is None:
+                tlo = thi = t
+            elif t < tlo:
+                tlo = t
+            elif t > thi:
+                thi = t
+    p.integers += ints
+    p.decimals += decs
+    p.text_only += text_only
+    p.max_length = max_length
+    minmax = {}
+    if ilo is not None:
+        minmax["integer"] = (ilo, ihi)
+    if dlo is not None:
+        minmax["decimal"] = (dlo, dhi)
+    for i, fmt in enumerate(DATE_PRESETS):
+        p.dates[fmt] += ndates[i]
+        if dtlo[i] is not None:
+            minmax[f"date:{fmt}"] = (dtlo[i], dthi[i])
+    if tlo is not None:
+        minmax["text"] = (tlo, thi)
+    return minmax
 
 
 def profile(reader: DatasetReader, top_k: int = 10) -> list[ColumnProfile]:
@@ -141,11 +231,20 @@ def profile(reader: DatasetReader, top_k: int = 10) -> list[ColumnProfile]:
     else:
         names = []
     accs = [_ColumnAcc(n) for n in names]
-    for _ordinal, cells, _ragged in reader:
-        while len(accs) < len(cells):
-            accs.append(_ColumnAcc(f"column_{len(accs) + 1}"))
-        for acc, raw in zip(accs, cells):
-            acc.add(raw, null_tokens)
+    rows = iter(reader)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        _ordinals, cells, ragged = zip(*chunk)
+        if any(ragged):
+            # a row of another width: count cell by cell, naming the
+            # columns that only such rows have
+            for row in cells:
+                while len(accs) < len(row):
+                    accs.append(_ColumnAcc(f"column_{len(accs) + 1}"))
+                for acc, raw in zip(accs, row):
+                    acc.add(raw, null_tokens)
+        else:
+            for acc, col in zip(accs, zip(*cells)):
+                acc.add_column(col, null_tokens)
     return [a.finish(top_k) for a in accs]
 
 

@@ -8,8 +8,11 @@ the pattern has a lossless LIKE translation, otherwise the rule is
 listed as inexpressible with the reason. Type checks are inexpressible
 by construction: a typed store cannot hold an unparseable value.
 
-Queries assume table columns carry the declared field types and that
-null cells are stored as SQL NULL.
+Queries assume table columns carry the declared field types, that
+null cells are stored as SQL NULL, and that LIKE compares under a
+case-sensitive (binary) collation, as `matches` does; a store whose
+LIKE ignores case, such as SQLite by default, must be set to compare
+case-sensitively (SQLite: PRAGMA case_sensitive_like = ON).
 """
 
 from __future__ import annotations

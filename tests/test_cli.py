@@ -296,6 +296,16 @@ PLAN_EDITS = {
         "'(?i)x'",
     ),
     "JSON array": (None, "JSON object"),
+    "choice without values": (lambda doc, cols: cols["program_type"]["gen"].update(values=[]), "'choice'"),
+    "cycle without values": (lambda doc, cols: cols["decision"]["gen"].update(kind="cycle", values=[]), "'cycle'"),
+    "int with hi below lo": (lambda doc, cols: cols["hours"]["gen"].update(lo=5, hi=4), "'int'"),
+    "dec with hi below lo": (
+        lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="2.5", hi="2.49"),
+        "'dec'",
+    ),
+    "date with hi below lo": (lambda doc, cols: cols["terms"]["gen"].update(hi="2012-12-31"), "'date'"),
+    "digits with n below 1": (lambda doc, cols: cols["hours"]["gen"].update(kind="digits", n=0), "'digits'"),
+    "words with max below min": (lambda doc, cols: cols["program"]["gen"].update(min=3, max=2), "'words'"),
 }
 
 

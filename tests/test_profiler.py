@@ -1,6 +1,7 @@
 """Column profiling and draft-spec suggestion."""
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -12,6 +13,8 @@ from dqspec.cli import main
 from dqspec.ingest import DialectConfig, open_dataset
 from dqspec.lang import ast, check_spec, parse_spec
 from helpers import write_csv
+
+import naive_oracle
 
 
 def _profiles(tmp_path, rows, dialect=None, **kw):
@@ -166,3 +169,143 @@ def test_profile_bytes_are_pinned(tmp_path):
         "text": "a41259f23964b216d1393728aaa3dadd9be52e54de4ac259208b328e1b6775f9",
         "draft": "fa7db91c7a5f3dba2abd71e3f05b3f3265a08dda57345ca33a4cc08e993230c5",
     }
+
+
+# ------------------------------------------------ differential reference
+
+# texts whose classification or tie order is easy to get wrong: signs and
+# points up front, equal numbers in other spellings, all three date
+# presets, 10-character non-dates, integers at and past the 64-bit range
+_TRICKY = (
+    "0", "-0", "+0", "7", "+5", "05", "007", "-3", "1.0", "1.00", "1.", ".5",
+    "0.50", "-.5", "+.5", "-1.5", "1e3", ".", "+", "-", "+-1", ".x", "-x",
+    "+a", "2020-01-02", "2020-02-30", "02.01.2020", "31.12.1999", "02/01/2020",
+    "2021/01/02", "1234567890", "abcdefghij", "+123456789", "-0.5000000",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "00000000000000000000001", "99999999999999999999", "x", "X y", "NA",
+    "null", "",
+)
+_PADS = ("", " ", "\t", " \f", "\v\r", "\n ")
+
+
+def _random_cell(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.6:
+        t = rng.choice(_TRICKY)
+    elif r < 0.8:
+        t = str(rng.randrange(-500, 500)) + rng.choice(("", ".0", ".25"))
+    else:
+        t = "v" + str(rng.randrange(300))
+    return rng.choice(_PADS) + t + rng.choice(_PADS)
+
+
+def _reference(path, dialect, top_k, cap):
+    """Each column's profile, cell by cell and by definition, with the
+    independent parsers of the naive oracle."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if dialect.has_header:
+        names = rows.pop(0) if rows else []
+    else:
+        names = [f"column_{i}" for i in range(1, len(rows[0]) + 1)] if rows else []
+    cols = [{"records": 0, "nulls": 0, "table": {}, "late": []} for _ in names]
+    for row in rows:
+        while len(cols) < len(row):
+            names.append(f"column_{len(cols) + 1}")
+            cols.append({"records": 0, "nulls": 0, "table": {}, "late": []})
+        for c, raw in zip(cols, row):
+            c["records"] += 1
+            t = raw.strip(" \t\r\n\f\v")
+            if t in dialect.null_tokens:
+                c["nulls"] += 1
+            elif t in c["table"] or len(c["table"]) <= cap:
+                c["table"][t] = c["table"].get(t, 0) + 1
+            else:
+                c["late"].append(t)
+    out = []
+    for name, c in zip(names, cols):
+        # table texts in first-seen order, then the texts past the cap in
+        # arrival order; min() and max() keep the first of equal values
+        seq = [(t, n) for t, n in c["table"].items()] + [(t, 1) for t in c["late"]]
+        parsers = {
+            "integer": naive_oracle._parse_int,
+            "decimal": naive_oracle._parse_dec,
+            **{f"date:{f}": (lambda t, f=f: naive_oracle._parse_date(t, f)) for f in profiler.DATE_PRESETS},
+        }
+        tallies = {key: 0 for key in parsers}
+        values = {key: [] for key in [*parsers, "text"]}
+        text_only = 0
+        for t, n in seq:
+            typed = False
+            for key, parse in parsers.items():
+                v = parse(t)
+                if v is not None:
+                    tallies[key] += n
+                    values[key].append(v)
+                    typed = True
+            if not typed:
+                text_only += n
+                values["text"].append(t)
+        ranked = sorted(c["table"].items(), key=lambda kv: (-kv[1], kv[0]))
+        out.append(
+            profiler.ColumnProfile(
+                name=name,
+                records=c["records"],
+                nulls=c["nulls"],
+                distinct=len(c["table"]),
+                distinct_approx=len(c["table"]) > cap,
+                integers=tallies["integer"],
+                decimals=tallies["decimal"],
+                dates={f: tallies[f"date:{f}"] for f in profiler.DATE_PRESETS},
+                text_only=text_only,
+                max_length=max((len(t) for t, _n in seq), default=0),
+                minmax={k: (min(vs), max(vs)) for k, vs in values.items() if vs},
+                top=tuple(ranked[:top_k]),
+            )
+        )
+    return out
+
+
+def _comparable(p: profiler.ColumnProfile):
+    # equal bounds can differ in spelling (1.0 and 1.00), so compare the
+    # type and the text of each bound, not only its value
+    d = dataclasses.asdict(p)
+    d["minmax"] = {k: (type(lo), str(lo), str(hi)) for k, (lo, hi) in p.minmax.items()}
+    return d
+
+
+_NULL_TOKENS = (("",), ("NA", "null"), ("", "NA"), ("null",), ())
+
+
+def test_profile_matches_per_cell_reference(tmp_path, monkeypatch):
+    """Seeded random tables: every field of every column profile equals a
+    cell-by-cell reference built on the naive oracle's own parsers, across
+    ragged rows, custom null tokens (with "" null or not), padding, ties,
+    row counts off the chunk size and a cap crossed inside a chunk."""
+    rng = random.Random(20261019)
+    chunk = profiler.CHUNK_ROWS
+    for trial in range(60):
+        cap = rng.choice((profiler.DISTINCT_CAP, 5, 37, chunk - 2, chunk - 1, chunk + 3))
+        monkeypatch.setattr(profiler, "DISTINCT_CAP", cap)
+        dialect = DialectConfig(has_header=rng.random() < 0.8, null_tokens=rng.choice(_NULL_TOKENS))
+        width = rng.randrange(1, 5)
+        nrows = rng.randrange(4) * chunk + rng.randrange(chunk)
+        ragged = rng.random() < 0.3
+        # a first column of distinct texts fills the table exactly at a
+        # chunk's end (cap chunk - 1) or one text past it (cap chunk - 2)
+        unique = rng.random() < 0.3
+        rows = [[f"h{j}" for j in range(width)]] if dialect.has_header else []
+        for i in range(nrows):
+            w = rng.randrange(1, width + 3) if ragged and rng.random() < 0.05 else width
+            rows.append([_random_cell(rng) for _ in range(w)])
+            if unique:
+                rows[-1][0] = f"u{i}"
+        path = tmp_path / f"t{trial}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        top_k = rng.choice((0, 1, 3, 10))
+        with open_dataset(str(path), dialect) as r:
+            got = profiler.profile(r, top_k=top_k)
+        want = _reference(path, dialect, top_k, cap)
+        context = (trial, cap, dialect, nrows, ragged, unique)
+        assert [_comparable(p) for p in got] == [_comparable(p) for p in want], context

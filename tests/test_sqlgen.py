@@ -24,6 +24,9 @@ def _plan(text):
 
 def sqlite_with(tables: dict[str, str]) -> sqlite3.Connection:
     con = sqlite3.connect(":memory:")
+    # the suite's LIKE assumes a case-sensitive collation; SQLite's
+    # default LIKE ignores ASCII case
+    con.execute("PRAGMA case_sensitive_like = ON")
     con.create_function("CHAR_LENGTH", 1, lambda s: None if s is None else len(s))
     for table, path in tables.items():
         with open(path, newline="", encoding="utf-8-sig") as fh:
