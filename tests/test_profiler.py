@@ -13,8 +13,7 @@ from dqspec.cli import main
 from dqspec.ingest import DialectConfig, open_dataset
 from dqspec.lang import ast, check_spec, parse_spec
 from helpers import write_csv
-
-import naive_oracle
+from naive_oracle import _parse_date, _parse_dec, _parse_int
 
 
 def _profiles(tmp_path, rows, dialect=None, **kw):
@@ -199,6 +198,13 @@ def _random_cell(rng: random.Random) -> str:
     return rng.choice(_PADS) + t + rng.choice(_PADS)
 
 
+_PARSERS = {
+    "integer": _parse_int,
+    "decimal": _parse_dec,
+    **{f"date:{f}": (lambda t, f=f: _parse_date(t, f)) for f in profiler.DATE_PRESETS},
+}
+
+
 def _reference(path, dialect, top_k, cap):
     """Each column's profile, cell by cell and by definition, with the
     independent parsers of the naive oracle."""
@@ -226,18 +232,13 @@ def _reference(path, dialect, top_k, cap):
     for name, c in zip(names, cols):
         # table texts in first-seen order, then the texts past the cap in
         # arrival order; min() and max() keep the first of equal values
-        seq = [(t, n) for t, n in c["table"].items()] + [(t, 1) for t in c["late"]]
-        parsers = {
-            "integer": naive_oracle._parse_int,
-            "decimal": naive_oracle._parse_dec,
-            **{f"date:{f}": (lambda t, f=f: naive_oracle._parse_date(t, f)) for f in profiler.DATE_PRESETS},
-        }
-        tallies = {key: 0 for key in parsers}
-        values = {key: [] for key in [*parsers, "text"]}
+        seq = list(c["table"].items()) + [(t, 1) for t in c["late"]]
+        tallies = {key: 0 for key in _PARSERS}
+        values = {key: [] for key in [*_PARSERS, "text"]}
         text_only = 0
         for t, n in seq:
             typed = False
-            for key, parse in parsers.items():
+            for key, parse in _PARSERS.items():
                 v = parse(t)
                 if v is not None:
                     tallies[key] += n
