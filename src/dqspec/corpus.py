@@ -374,6 +374,8 @@ def _compile_gen(gen: dict, col_index: dict[str, int]):
     if kind == "words":
         lo = int(gen.get("min", 1))
         hi = int(gen.get("max", 3))
+        if lo < 1:
+            raise ValueError(f"generator 'words' needs min >= 1, got {lo}")
         if hi < lo:
             raise ValueError(f"generator 'words' has max {hi} below min {lo}")
         title = bool(gen.get("title", False))

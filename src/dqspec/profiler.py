@@ -4,8 +4,9 @@ Each column keeps one count table, from every trimmed non-null text to
 its number of occurrences, next to its record and null counts. Rows are
 read in chunks of CHUNK_ROWS; each column of a chunk is trimmed and
 counted by one Counter.update, so the hashing runs in C, and the null
-tokens are popped back out of the table. A chunk with a ragged row, or
-one that could fill a column's table, is counted cell by cell instead.
+tokens are popped back out of the table. A chunk with a ragged row first
+names the columns that only its wider rows have; column j then counts
+the cells of the rows that reach it, in row order.
 
 All else is derived from the table once per distinct text: how many
 non-null cells parse as integer, decimal or each date preset, min/max
@@ -15,10 +16,12 @@ parsed as a number, and only a text of the presets' length as a date.
 Ranges are kept as running bounds in table order, which is first-seen
 order, so among equal values (1.0, 1.00) the first seen is the bound.
 
-The table of each column is full at DISTINCT_CAP + 1 texts; a text
-first seen after that is tallied on the spot and not ranked, so parse
-tallies, ranges and null counts stay exact while the distinct count and
-top-k become approximate.
+The table of each column is full at DISTINCT_CAP + 1 texts. A Counter
+keeps its texts in first-seen order, so after a chunk is counted the
+entries past the first DISTINCT_CAP + 1 are exactly the texts first
+seen after the table was full. They are popped, tallied and not
+ranked, so parse tallies, ranges and null counts stay exact while the
+distinct count and top-k become approximate.
 
 suggest_spec turns profiles into a draft specification with provenance
 comments; the draft always favors the narrowest type with full
@@ -37,7 +40,7 @@ from operator import neg
 
 from .ingest import DatasetReader
 from .lang import ast
-from .lang.formatter import format_field_decl
+from .lang.formatter import format_spec
 from .lang.lexer import KEYWORDS, escape_string
 from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int, compile_date_format
 
@@ -85,37 +88,23 @@ class _ColumnAcc:
         # (min, max) per type over the texts tallied past the cap
         self.late: dict[str, tuple] = {}
 
-    def add(self, raw: str, null_tokens: tuple[str, ...]):
-        p = self.profile
-        p.records += 1
-        t = raw.strip(ASCII_WS)
-        if t in null_tokens:
-            p.nulls += 1
-            return
-        counts = self.counts
-        if t in counts:
-            counts[t] += 1
-        elif len(counts) <= DISTINCT_CAP:
-            counts[t] = 1
-        else:
-            # the table is full: tally the text now, it is never ranked
-            for key, (lo, hi) in _classify(p, ((t, 1),)).items():
-                _fold(self.late, key, lo, hi)
-
     def add_column(self, col: tuple[str, ...], null_tokens: tuple[str, ...]):
-        """Count one column of a chunk of rows, as `add` on each cell."""
-        counts = self.counts
-        if len(counts) + len(col) > DISTINCT_CAP + 1:
-            # the chunk could fill the table: only `add` knows which
-            # texts still enter it
-            for raw in col:
-                self.add(raw, null_tokens)
-            return
+        """Count one column of a chunk of rows."""
         p = self.profile
+        counts = self.counts
         p.records += len(col)
         counts.update(map(str.strip, col, repeat(ASCII_WS)))
         for tok in null_tokens:
             p.nulls += counts.pop(tok, 0)
+        # texts keep their first-seen order, so the ones past the first
+        # DISTINCT_CAP + 1 were first seen after the table was full: they
+        # are tallied now and never ranked. They are taken from the end,
+        # so a full table is not walked once per chunk
+        past = len(counts) - DISTINCT_CAP - 1
+        if past > 0:
+            texts = list(islice(reversed(counts), past))[::-1]
+            for key, (lo, hi) in _classify(p, [(t, counts.pop(t)) for t in texts]).items():
+                _fold(self.late, key, lo, hi)
 
     def finish(self, top_k: int) -> ColumnProfile:
         p = self.profile
@@ -235,16 +224,15 @@ def profile(reader: DatasetReader, top_k: int = 10) -> list[ColumnProfile]:
     while chunk := list(islice(rows, CHUNK_ROWS)):
         _ordinals, cells, ragged = zip(*chunk)
         if any(ragged):
-            # a row of another width: count cell by cell, naming the
-            # columns that only such rows have
-            for row in cells:
-                while len(accs) < len(row):
-                    accs.append(_ColumnAcc(f"column_{len(accs) + 1}"))
-                for acc, raw in zip(accs, row):
-                    acc.add(raw, null_tokens)
+            # a row of another width: name the columns that only such rows
+            # have, and give each column the cells of the rows that reach it
+            width = max(map(len, cells))
+            accs.extend(_ColumnAcc(f"column_{j}") for j in range(len(accs) + 1, width + 1))
+            cols = [tuple(row[j] for row in cells if len(row) > j) for j in range(len(accs))]
         else:
-            for acc, col in zip(accs, zip(*cells)):
-                acc.add_column(col, null_tokens)
+            cols = zip(*cells)
+        for acc, col in zip(accs, cols):
+            acc.add_column(col, null_tokens)
     return [a.finish(top_k) for a in accs]
 
 
@@ -294,8 +282,10 @@ def suggest_spec(
     """Draft spec from profiles plus per-field provenance notes: `not
     null` when no nulls were seen, the narrowest type every non-null cell
     parses as, and `unique` when every non-null text is distinct and the
-    count table is not full."""
+    count table is not full. A field binds by column index when there is
+    no header or its header name occurs more than once."""
     taken: set[str] = set()
+    header_uses = Counter(p.name for p in profiles)
     fields = []
     notes: dict[str, list[str]] = {}
     for i, p in enumerate(profiles):
@@ -317,10 +307,11 @@ def suggest_spec(
             if agree is not None:
                 fnotes.append(f"type {tname}: {agree} of {p.non_null} agree")
         column: str | int | None
-        if has_header:
-            column = p.name if p.name != ident else None
-        else:
+        if not has_header or header_uses[p.name] > 1:
+            # a duplicated header name binds its first column only
             column = i + 1
+        else:
+            column = p.name if p.name != ident else None
         fields.append(ast.FieldDecl(name=ident, ftype=ftype, column=column, constraints=tuple(constraints)))
         notes[ident] = fnotes
     spec = ast.SpecAst(
@@ -337,22 +328,14 @@ def suggest_spec(
 def render_draft(spec: ast.SpecAst, notes: dict[str, list[str]]) -> str:
     """Draft spec text with `# suggested:` provenance comments; the
     output parses and validates as-is."""
-    from .lang.formatter import _source_lines  # canonical source block
-
-    out = [f"spec {spec.name} {{"]
-    for src in spec.sources:
-        out.append("")
-        out.extend(_source_lines(src))
-    for obj in spec.objects:
-        out.append("")
-        out.append(f"  object {obj.name} from {obj.source} {{")
-        for f in obj.fields:
-            for note in notes.get(f.name, []):
-                out.append(f"    # suggested: {note}")
-            out.append(f"    {format_field_decl(f)}")
-        out.append("  }")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    # a draft object has fields only, so its field lines come in field order
+    fields = (f for obj in spec.objects for f in obj.fields)
+    out = []
+    for line in format_spec(spec).split("\n"):
+        if line.startswith("    field "):
+            out.extend(f"    # suggested: {note}" for note in notes.get(next(fields).name, []))
+        out.append(line)
+    return "\n".join(out)
 
 
 def render_profiles_json(profiles: list[ColumnProfile]) -> bytes:

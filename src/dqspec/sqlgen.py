@@ -92,9 +92,7 @@ def _column_sql(oplan: ObjectPlan, field_name: str) -> str:
         if fs.name == field_name:
             if isinstance(fs.column, str):
                 return quote_ident(fs.column)
-            if isinstance(fs.column, int):
-                # positional binding has no portable SQL name; use the field name
-                return quote_ident(fs.name)
+            # positional binding has no portable SQL name; use the field name
             return quote_ident(fs.name)
     raise KeyError(field_name)
 
@@ -102,7 +100,6 @@ def _column_sql(oplan: ObjectPlan, field_name: str) -> str:
 def _object_rules(plan: CheckPlan, oplan: ObjectPlan, tables: dict[str, str]):
     table = quote_ident(tables[oplan.source])
     obj = plan.spec.ast.objects[[o.name for o in plan.objects].index(oplan.name)]
-    ftypes = {f.name: f.ftype for f in obj.fields}
     out = []
 
     for f in obj.fields:
@@ -114,7 +111,7 @@ def _object_rules(plan: CheckPlan, oplan: ObjectPlan, tables: dict[str, str]):
     for r in obj.rules:
         rid = f"{oplan.name}.{r.name}"
         try:
-            cond = _expr_sql(r.expr, oplan, ftypes)
+            cond = _expr_sql(r.expr, oplan)
         except _Inexpressible as exc:
             out.append(SqlRule(rid, "rule", None, None, str(exc)))
             continue
@@ -187,7 +184,7 @@ def _operand_sql(op, oplan: ObjectPlan) -> str:
     return _literal_sql(op)
 
 
-def _expr_sql(e, oplan: ObjectPlan, ftypes) -> str:
+def _expr_sql(e, oplan: ObjectPlan) -> str:
     if isinstance(e, ast.Cmp):
         op = "<>" if e.op == "!=" else e.op
         return f"{_operand_sql(e.lhs, oplan)} {op} {_operand_sql(e.rhs, oplan)}"
@@ -200,11 +197,11 @@ def _expr_sql(e, oplan: ObjectPlan, ftypes) -> str:
             raise _Inexpressible(f"pattern '{e.pattern}': {reason}")
         return f"{_operand_sql(e.operand, oplan)} LIKE {quote_text(like)} ESCAPE '\\'"
     if isinstance(e, ast.And):
-        return " AND ".join(f"({_expr_sql(i, oplan, ftypes)})" for i in e.items)
+        return " AND ".join(f"({_expr_sql(i, oplan)})" for i in e.items)
     if isinstance(e, ast.Or):
-        return " OR ".join(f"({_expr_sql(i, oplan, ftypes)})" for i in e.items)
+        return " OR ".join(f"({_expr_sql(i, oplan)})" for i in e.items)
     if isinstance(e, ast.Not):
-        return f"NOT ({_expr_sql(e.item, oplan, ftypes)})"
+        return f"NOT ({_expr_sql(e.item, oplan)})"
     raise ValueError(f"not an expression node: {e!r}")
 
 

@@ -173,6 +173,20 @@ def test_profile_suggest_names_the_source_so_the_draft_validates(tmp_path, capsy
     assert main(["validate-spec", str(draft)]) == 0, capsys.readouterr().err
 
 
+def test_profile_suggest_binds_duplicated_header_names_by_index(tmp_path, capsys):
+    # column 1 holds texts and column 2 integers: a field that read
+    # column 1 for column 2 would break its integer type on every record
+    data = write_csv(tmp_path / "d.csv", [["a", "a"], ["x", "1"], ["y", "2"], ["z", "3"]])
+    draft = tmp_path / "d.dq"
+    assert main(["profile", data, "--suggest", str(draft)]) == 0
+    text = draft.read_text(encoding="utf-8")
+    assert "field a column 1 text" in text and "field a_2 column 2 integer" in text, text
+    capsys.readouterr()
+    assert main(["check", str(draft), "--report", "json"]) == 0
+    rules = json.loads(capsys.readouterr().out)["rules"]
+    assert {r["rule_id"]: r["count"] for r in rules if r["count"]} == {}
+
+
 @pytest.mark.parametrize("name", ["bad name", "date", "1st", "é"])
 def test_profile_source_name_not_an_identifier_exit_2(tmp_path, capsys, name):
     data = write_csv(tmp_path / "d.csv", [["n"], ["1"]])
@@ -306,6 +320,7 @@ PLAN_EDITS = {
     "date with hi below lo": (lambda doc, cols: cols["terms"]["gen"].update(hi="2012-12-31"), "'date'"),
     "digits with n below 1": (lambda doc, cols: cols["hours"]["gen"].update(kind="digits", n=0), "'digits'"),
     "words with max below min": (lambda doc, cols: cols["program"]["gen"].update(min=3, max=2), "'words'"),
+    "words with min below 1": (lambda doc, cols: cols["program"]["gen"].update(min=0, max=2), "'words'"),
 }
 
 
