@@ -4,12 +4,15 @@ sources that are not regular files. Every run must give the bytes of
 `--jobs 1`."""
 
 import os
+import random
 import threading
 
 import pytest
 
 from dqspec import engine, ingest
-from helpers import check_captured
+from dqspec.lang import check_spec
+from helpers import check_captured, write_csv
+from randgen import rand_dataset, rand_executable_spec
 
 SPEC = """
 spec s {{
@@ -137,6 +140,19 @@ def test_block_cuts_give_the_bytes_of_jobs_1(tmp_path, monkeypatch, case):
     assert (resumed != [len(data)]) is resumes_inside, resumed
 
 
+def test_duplicate_across_blocks_is_flagged_with_its_own_raw_cell(tmp_path, monkeypatch):
+    """Id 7 comes in early blocks; ` 007`, the same integer, opens a
+    later block and is the duplicate, flagged with its raw cell."""
+    data = _csv(_rows(30) + [" 007,abc,n31"] + _rows(12, 50))
+    (tmp_path / "s.dq").write_text(SPEC.format(header="true"), encoding="utf-8")
+    (tmp_path / "d.csv").write_bytes(data)
+    one = check_captured(tmp_path, 1)
+    assert b"\n31,d.id.unique,id, 007,error,duplicate of an earlier record\n" in one[3]
+
+    _block_bytes_where(monkeypatch, tmp_path / "d.csv", _cut_after(b"n30\n 007"))
+    assert check_captured(tmp_path, 2) == one
+
+
 def test_malformed_record_in_a_late_block_exit_3_as_at_jobs_1(tmp_path, monkeypatch):
     bad = '40,"abc"x,n40'
     data = _csv(_rows(40) + [bad] + _rows(12, 50))
@@ -173,3 +189,27 @@ def test_fifo_source_is_read_sequentially_at_jobs_2(tmp_path, monkeypatch):
     # the same bytes as from the regular file
     assert outs[0] == outs[1] == check_captured(tmp_path, 1)
     assert outs[0][0] == 1
+
+
+def test_random_specs_over_tiny_blocks_match_jobs_1(tmp_path, monkeypatch):
+    """C3's random specs and datasets at jobs 2 over 64-byte blocks give
+    the report and the violations of jobs 1."""
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 64)
+    trials = 50
+    cut = 0
+    for seed in range(trials):
+        rng = random.Random(900_000 + seed)
+        spec = rand_executable_spec(rng)
+        data = rand_dataset(rng, spec)
+        base = tmp_path / str(seed)
+        base.mkdir()
+        paths = {name: write_csv(base / f"{name}.csv", rows) for name, rows in data.items()}
+        plan = engine.compile_plan(check_spec(spec))
+        cut += len(engine._cuts(paths["main"])) > 1
+        runs = []
+        for jobs in (1, 2):
+            viols = []
+            runs.append((engine.run(plan, paths, jobs=jobs, violation_sink=viols.append), viols))
+        assert runs[1] == runs[0], seed
+    # most files are cut into several blocks
+    assert cut > trials // 2, cut
