@@ -115,11 +115,12 @@ def _cmd_profile(args) -> int:
     if args.suggest:
         if not profiles:
             raise DataError("nothing to suggest: dataset has no columns")
+        # no field for a column that only rows wider than the header have
         spec, notes = profiler.suggest_spec(
-            profiles,
+            profiles[: reader.width],
             source_name=name or profiler._identifier_for(Path(args.data).stem, set()),
             path=Path(args.data).name,
-            has_header=not args.no_header,
+            dialect=dialect,
         )
         Path(args.suggest).write_text(profiler.render_draft(spec, notes), encoding="utf-8")
         print(f"draft spec written to {args.suggest}", file=sys.stderr)

@@ -1,18 +1,19 @@
 """Plan-specialised record evaluators, generated as Python source.
 
 `generate_source` turns one ObjectPlan into the text of a factory that
-returns `evaluate(cells) -> (viols, uvals)`: straight-line code that,
-for every field in turn, trims the raw cell, tests it against the null
-tokens, parses it as the declared type and checks the field's stateless
-constraints, then evaluates the record rules in Kleene (three-valued)
-logic and collects the unique-key values. The plan names each field's
-AST type and each constraint's kind (`engine.compile_plan`); this module
-alone turns those names into code, once per plan, so nothing dispatches
-on a type or a constraint kind at run time.
+returns `evaluate(cells) -> viols`: straight-line code that, for every
+field in turn, trims the raw cell, tests it against the null tokens,
+parses it as the declared type and checks the field's constraints, then
+evaluates the record rules in Kleene (three-valued) logic. The plan
+names each field's AST type and each constraint's kind
+(`engine.compile_plan`); this module alone turns those names into code,
+once per plan, so nothing dispatches on a type or a constraint kind at
+run time.
 
 `viols` lists `(emitter index, raw cell)` in emitter order (`""` as the
-cell of a record rule). `uvals` holds one `(value, raw cell)` pair per
-`unique` field, with value None for a null or unparsable cell.
+cell of a record rule). `unique` checks a present, well-typed value
+against the constraint's seen table (keys only) and adds it when new;
+the `Evaluator` owns the tables, so its caller decides what they cover.
 
 Spec literals, patterns, enum sets, date formats, null tokens and
 lookup sets reach the code only through the constants table `K`; the
@@ -39,7 +40,7 @@ _MISS = object()
 # names the factory receives, in order; apart from builtins the generated
 # code uses no others
 _FACTORY_ARGS = (
-    "K", "D", "PICK", "MISS", "CAP", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int",
+    "K", "D", "S", "PICK", "MISS", "CAP", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int",
 )
 
 _CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -66,6 +67,7 @@ class _Source:
         self.patterns = patterns
         self.fidx = fidx
         self.read: set[int] = set()  # fields whose value a rule reads
+        self.seen: list[int] = []  # emitter indexes of the unique constraints
         self.consts: list = []
         self.temps = 0
 
@@ -145,12 +147,17 @@ def _expr(src: _Source, e) -> tuple[str, bool]:
 
 
 def _checks(src: _Source, fs, value: str, raw: str, indexes) -> list[str]:
-    """Stateless constraints of a present, well-typed cell; `t` holds
-    its trimmed text and `value` names its typed value."""
+    """Constraints of a present, well-typed cell; `t` holds its trimmed
+    text and `value` names its typed value."""
     lines = []
     for kind, eidx, arg in fs.constraints:
         if kind == "not_null":
             continue  # the value is present
+        if kind == "unique":
+            src.seen.append(eidx)
+            lines += [f"if {value} in s{eidx}:", f"    viols.append(({eidx}, {raw}))"]
+            lines += ["else:", f"    s{eidx}[{value}] = None"]
+            continue
         k = src.const(indexes[arg].values if kind == "in_reference" else arg)
         test = {
             "matches": f"{k}.fullmatch(t) is None",
@@ -166,7 +173,7 @@ def _checks(src: _Source, fs, value: str, raw: str, indexes) -> list[str]:
 
 def _field(src: _Source, i: int, fs, kept: bool, nulls: str, vspec, indexes) -> list[str]:
     """Trim, null test, typed parse and constraints of field `i`; `v{i}`
-    is assigned only when a rule or a unique key reads it."""
+    is assigned only when a rule reads it."""
     raw = f"r{i}"
     on_null = [f"v{i} = None"] if kept else []
     on_null += [
@@ -213,7 +220,6 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
         code, nullable = _expr(src, rule.expr)
         rules.append(f"if {code} is not True:" if nullable else f"if not {code}:")
         rules.append(f"    viols.append(({eidx}, ''))")
-    keep = src.read | {i for i, fs in enumerate(fields) if fs.unique_eidx is not None}
     nulls = src.const(vspec.source_map[oplan.source].null_tokens)
     memoised = [i for i, fs in enumerate(fields) if isinstance(fs.ftype, ast.DateType)]
 
@@ -222,32 +228,35 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
     if raws:  # itemgetter of one column gives the cell itself
         body.append(f"{', '.join(raws)} = PICK(cells)")
     for i, fs in enumerate(fields):
-        body += _field(src, i, fs, i in keep, nulls, vspec, indexes)
+        body += _field(src, i, fs, i in src.read, nulls, vspec, indexes)
     body += rules
-    uvals = [f"(v{i}, {raws[i]})" for i, fs in enumerate(fields) if fs.unique_eidx is not None]
-    body.append(f"return viols, ({', '.join(uvals)}{',' if len(uvals) == 1 else ''})")
+    body.append("return viols")
 
     lines = [f"def _bind({', '.join(_FACTORY_ARGS)}):"]
     for n, i in enumerate(memoised):
         lines += [f"    d{i} = D[{n}]", f"    g{i} = d{i}.get"]
+    lines += [f"    s{eidx} = S[{eidx}]" for eidx in src.seen]
     lines += ["    def evaluate(cells):"] + _indent(_indent(body)) + ["    return evaluate"]
     return "\n".join(lines) + "\n", src.consts
 
 
 class Evaluator:
     """One ObjectPlan's generated evaluator, bound to a column layout and
-    the lookup indexes of one run."""
+    the lookup indexes of one run. `seen` maps the emitter index of each
+    `unique` constraint to its seen table."""
 
-    __slots__ = ("source", "constants", "memos", "evaluate")
+    __slots__ = ("source", "constants", "memos", "seen", "evaluate")
 
     def __init__(self, oplan, vspec, colmap: list[int], indexes):
         self.source, constants = generate_source(oplan, vspec, indexes)
         self.constants = tuple(constants)
         self.memos = [{} for fs in oplan.fields if isinstance(fs.ftype, ast.DateType)]
+        uniques = (eidx for fs in oplan.fields for kind, eidx, _a in fs.constraints if kind == "unique")
+        self.seen = {eidx: {} for eidx in uniques}
         pick = itemgetter(*colmap) if colmap else None
         namespace: dict = {}
         exec(compile(self.source, f"<dqspec evaluator {oplan.name}>", "exec"), namespace)
         self.evaluate = namespace["_bind"](
-            self.constants, self.memos, pick, _MISS, MEMO_CAP, ASCII_WS,
+            self.constants, self.memos, self.seen, pick, _MISS, MEMO_CAP, ASCII_WS,
             DEC_RE, Decimal, parse_date_text, parse_int,
         )

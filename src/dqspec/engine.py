@@ -4,26 +4,28 @@ streaming pass per source.
 Execution is two-phase: reference lookup indexes are built first, then
 each object's source is streamed once. Every well-formed record goes
 through one generated, plan-specialised function (see `codegen`); its
-per-record results are merged sequentially, in record order, where
-uniqueness is tracked and violations are counted and emitted.
+violations are merged sequentially, in record order, and counted and
+emitted there.
 
 With `jobs` > 1 a regular file is cut into byte blocks of BLOCK_BYTES,
 each ending just after a newline, whatever the worker count; where no
 newline comes within 2 * BLOCK_BYTES, cutting stops and the rest of
 the file is read sequentially, so no block is larger. Each
 worker process reads, decodes and parses whole blocks itself, runs the
-same function and returns its block's record count, its violating and
-ragged records, and its unique-key values; at most two blocks per
-worker are in flight. A cut may fall inside a quoted field, so a block
-counts only when its strict parse uses up every byte of it: block 0
-starts at a record boundary, and each block that counts proves that
-the next one starts at one too. From the first block that does not
-count (a quoted newline across the cut, malformed CSV, invalid UTF-8)
-to the end of the file, the records are read and evaluated in the
-parent as at `jobs` 1, so an error is reported with the same record
-ordinal. A source that is not a regular file, a pipe say, is always
-read sequentially. Reports and violation order are identical for any
-worker count.
+same function with its `unique` seen tables cleared per block, and
+returns its block's record count, its violating and ragged records, and
+the keys first seen in the block; at most two blocks per worker are in
+flight. The parent's evaluator holds the seen tables of the whole file:
+a block's key already in them is a duplicate, which the parent adds to
+the violations of the key's record. A cut may fall inside a quoted
+field, so a block counts only when its strict parse uses up every byte
+of it: block 0 starts at a record boundary, and each block that counts
+proves that the next one starts at one too. From the first block that
+does not count (a quoted newline across the cut, malformed CSV, invalid
+UTF-8) to the end of the file, the parent's evaluator reads on as at
+`jobs` 1, so an error is reported with the same record ordinal. A source
+that is not a regular file, a pipe say, is always read sequentially.
+Reports and violation order are identical for any worker count.
 
 Violations are ordered by (record ordinal, emitter order) where emitter
 order is: structure, then per field its type check followed by its
@@ -48,9 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import partial
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
 
 from .codegen import Evaluator
 from .ingest import DataError, DatasetReader, csv_rows, dialect_from_source, open_dataset
@@ -98,8 +98,7 @@ class _FieldSpec:
     column: object  # str | int | None (None: bind by field name)
     ftype: ast.FieldType
     type_eidx: int
-    constraints: tuple  # (kind, eidx, arg) per stateless constraint; see compile_plan
-    unique_eidx: int | None
+    constraints: tuple  # (kind, eidx, arg) per constraint; see compile_plan
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 )
             )
             kcons = []
-            unique_eidx = None
             for c in f.constraints:
                 eidx = len(emitters)
                 emitters.append(
@@ -232,12 +230,9 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                         is_evaluator=True,
                     )
                 )
-                if c.kind == "unique":
-                    unique_eidx = eidx
-                    continue
                 # arg: the (source, column) of in_reference, the compiled
                 # pattern of matches, the literal's value of min and max,
-                # the length of minlen and maxlen, None for not_null
+                # the length of minlen and maxlen, else None
                 arg = c.arg
                 if c.kind == "in_reference":
                     ref_needs.append(arg)
@@ -253,7 +248,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                     ftype=f.ftype,
                     type_eidx=type_eidx,
                     constraints=tuple(kcons),
-                    unique_eidx=unique_eidx,
                 )
             )
         rules = []
@@ -338,14 +332,10 @@ def eval_fields(cells, evaluate):
 
 
 def _evaluated(records, evaluate):
-    """(ordinal, cells, ragged) records -> (ordinal, viols, uvals)
-    results; a ragged record has viols None."""
+    """(ordinal, cells, ragged) records -> (ordinal, viols) results; a
+    ragged record has viols None."""
     for ordinal, cells, ragged in records:
-        if ragged:
-            yield ordinal, None, None
-        else:
-            viols, uvals = eval_fields(cells, evaluate)
-            yield ordinal, viols, uvals
+        yield ordinal, None if ragged else eval_fields(cells, evaluate)
 
 
 # ------------------------------------------------------------ byte blocks
@@ -385,8 +375,8 @@ def _block_end(fh, start: int, size: int) -> int | None:
     return size if pos + len(line) >= size else None
 
 
-# worker-process state: (path, dialect, width, evaluate, the unique keys
-# of a ragged record)
+# worker-process state: (path, dialect, width, evaluate, (seen table,
+# column index) per unique constraint)
 _WORKER = None
 
 
@@ -397,23 +387,27 @@ def _worker_init(plan: CheckPlan, obj_index: int, colmap: list[int], indexes, pa
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _WORKER
     oplan = plan.objects[obj_index]
-    evaluate = Evaluator(oplan, plan.spec, colmap, indexes).evaluate
-    nkeys = sum(fs.unique_eidx is not None for fs in oplan.fields)
-    _WORKER = (path, dialect, width, evaluate, ((None, None),) * nkeys)
+    ev = Evaluator(oplan, plan.spec, colmap, indexes)
+    column = {eidx: colmap[i] for i, fs in enumerate(oplan.fields) for _k, eidx, _a in fs.constraints}
+    unique = [(seen, column[eidx]) for eidx, seen in ev.seen.items()]
+    _WORKER = (path, dialect, width, ev.evaluate, unique)
 
 
 def _worker_block(start: int, end: int):
     """Parse and evaluate bytes [start, end) of the source: (record
     count, (local ordinal, viols) of each violating or ragged record,
-    per unique field its values and raw cells in record order), or None
-    when the bytes are not whole records of valid UTF-8 CSV. Block 0
-    holds the BOM and the header."""
-    path, dialect, width, evaluate, ragged_keys = _WORKER
+    per unique constraint (keys first seen in the block, local ordinals
+    and raw cells of their records)), or None when the bytes are not
+    whole records of valid UTF-8 CSV. Block 0 holds the BOM and the
+    header."""
+    path, dialect, width, evaluate, unique = _WORKER
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
     flagged = []
-    keys = []
+    firsts = [(seen, col, [], []) for seen, col in unique]
+    for seen, _col in unique:
+        seen.clear()
     count = 0
     try:
         text = data.decode("utf-8-sig" if start == 0 else "utf-8")
@@ -423,43 +417,50 @@ def _worker_block(start: int, end: int):
         for count, cells in enumerate(rows, 1):
             if len(cells) != width:
                 flagged.append((count, None))
-                keys.append(ragged_keys)
                 continue
-            viols, uvals = evaluate(cells)
+            viols = evaluate(cells)
             if viols:
                 flagged.append((count, viols))
-            keys.append(uvals)
+            for seen, col, ordinals, raws in firsts:
+                if len(seen) > len(ordinals):  # a new key
+                    ordinals.append(count)
+                    raws.append(cells[col])
     except (csv.Error, UnicodeDecodeError):
         return None
-    ukeys = [(list(map(itemgetter(0), col)), list(map(itemgetter(1), col))) for col in zip(*keys)]
-    return count, flagged, ukeys
+    return count, flagged, [(list(seen), ordinals, raws) for seen, _col, ordinals, raws in firsts]
 
 
-_CLEAN = object()
+def _block_records(base: int, flagged, firsts, seen: dict):
+    """(ordinal, viols) of the violating and ragged records of one block,
+    ordinals rebased by `base`. A key first seen in the block that its
+    table in `seen` (emitter index -> keys of the earlier blocks) holds
+    is a duplicate at its record; then the block's keys join `seen`."""
+    hits: dict[int, list] = {}
+    for (eidx, table), (keys, ordinals, raws) in zip(seen.items(), firsts):
+        if not table.keys().isdisjoint(keys):
+            for key, i, raw in zip(keys, ordinals, raws):
+                if key in table:
+                    hits.setdefault(i, []).append((eidx, raw))
+        table.update(zip(keys, repeat(None)))  # no dict of the block's keys at once
+    if hits:
+        flagged = dict(flagged)
+        for i, extra in hits.items():
+            # an emitter fires at most once per record
+            flagged[i] = sorted(flagged.get(i, []) + extra)
+        flagged = sorted(flagged.items())
+    for i, viols in flagged:
+        yield base + i, viols
 
 
-def _block_records(base: int, flagged, ukeys):
-    """(ordinal, viols, uvals) results of one block from its worker's
-    output, ordinals rebased by `base`. Without unique fields only the
-    flagged records matter to the merge."""
-    if not ukeys:
-        for i, viols in flagged:
-            yield base + i, viols, None
-        return
-    get = dict(flagged).get
-    for i, uvals in enumerate(zip(*[zip(vals, raws) for vals, raws in ukeys]), 1):
-        viols = get(i, _CLEAN)
-        yield base + i, ([] if viols is _CLEAN else viols), uvals
-
-
-def _pooled(pool, cuts, window: int, reader, make_evaluator):
+def _pooled(pool, cuts, window: int, reader, ev: Evaluator):
     """Results of every block evaluated on `pool`, in record order, with
     at most `window` blocks submitted and not yet consumed. A block
     counts only if its strict parse used up all of its bytes. Block 0
     starts at a record boundary and each block that counts ends at one,
     so `reader` can go on from the end of the last block that counted:
-    the rest of the file is read and evaluated here, by
-    `make_evaluator()`, and an error is reported as at jobs 1."""
+    the rest of the file is read and evaluated here, by `ev`, whose
+    seen tables hold the keys of every block before, and an error is
+    reported as at jobs 1."""
     todo = iter(cuts)
     pending = deque((end, pool.submit(_worker_block, start, end)) for start, end in islice(todo, window))
     base = stop = 0
@@ -471,14 +472,14 @@ def _pooled(pool, cuts, window: int, reader, make_evaluator):
         nxt = next(todo, None)
         if nxt is not None:
             pending.append((nxt[1], pool.submit(_worker_block, *nxt)))
-        count, flagged, ukeys = out
-        yield from _block_records(base, flagged, ukeys)
+        count, flagged, firsts = out
+        yield from _block_records(base, flagged, firsts, ev.seen)
         base += count
         stop = end
     pool.shutdown(wait=False, cancel_futures=True)
     if stop:
         reader.seek(stop, base)
-    yield from _evaluated(reader, make_evaluator().evaluate)
+    yield from _evaluated(reader, ev.evaluate)
 
 
 # ------------------------------------------------------------------- execution
@@ -580,11 +581,10 @@ def run(
         with open_dataset(path_of(oplan.source), dialect_from_source(src)) as reader:
             colmap = _resolve_columns(oplan, reader)
             counts = [0] * len(oplan.emitters)
+            ev = Evaluator(oplan, vspec, colmap, indexes)
             cuts = _cuts(reader.path) if jobs > 1 else []
             if not cuts:
-                evaluate = Evaluator(oplan, vspec, colmap, indexes).evaluate
-                results = _evaluated(reader, evaluate)
-                obj_invalid = _merge_all(results, oplan, counts, emit)
+                obj_invalid = _merge_all(_evaluated(reader, ev.evaluate), oplan, counts, emit)
             else:
                 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -594,8 +594,7 @@ def run(
                         initializer=_worker_init,
                         initargs=(plan, oi, colmap, indexes, reader.path, reader.dialect, reader.width),
                     ) as pool:
-                        make_evaluator = partial(Evaluator, oplan, vspec, colmap, indexes)
-                        results = _pooled(pool, cuts, 2 * jobs, reader, make_evaluator)
+                        results = _pooled(pool, cuts, 2 * jobs, reader, ev)
                         obj_invalid = _merge_all(results, oplan, counts, emit)
                 except BrokenProcessPool as exc:
                     raise DataError(
@@ -635,29 +634,15 @@ def run(
 
 
 def _merge_all(results, oplan: ObjectPlan, counts, emit) -> int:
-    """Sequential merge of (ordinal, viols, uvals) results in record
-    order: uniqueness resolution, counting, and one `emit(ordinal,
-    viols)` call per record with violations. Returns the number of
-    invalid records."""
+    """Sequential merge of (ordinal, viols) results in record order:
+    counting, and one `emit(ordinal, viols)` call per record with
+    violations. Returns the number of invalid records."""
     is_error = [m.severity == "error" for m in oplan.emitters]
-    unique = [(fs.unique_eidx, set()) for fs in oplan.fields if fs.unique_eidx is not None]
     invalid = 0
-    for ordinal, viols, uvals in results:
+    for ordinal, viols in results:
         if viols is None:
             viols = [(0, "")]  # ragged: the structure emitter alone
-        elif unique:
-            added = False
-            for (eidx, seen), (v, raw) in zip(unique, uvals):
-                if v is None:
-                    continue
-                if v in seen:
-                    viols.append((eidx, raw))
-                    added = True
-                else:
-                    seen.add(v)
-            if added:
-                viols.sort()  # an emitter fires at most once per record
-        if not viols:
+        elif not viols:
             continue
         has_error = False
         for eidx, _raw in viols:

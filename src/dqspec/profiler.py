@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import neg
 
-from .ingest import DatasetReader
+from .ingest import DatasetReader, DialectConfig
 from .lang import ast
 from .lang.formatter import format_spec
 from .lang.lexer import KEYWORDS, escape_string
@@ -277,13 +277,14 @@ def suggest_spec(
     profiles: list[ColumnProfile],
     source_name: str,
     path: str,
-    has_header: bool = True,
+    dialect: DialectConfig = DialectConfig(),
 ) -> tuple[ast.SpecAst, dict[str, list[str]]]:
     """Draft spec from profiles plus per-field provenance notes: `not
     null` when no nulls were seen, the narrowest type every non-null cell
     parses as, and `unique` when every non-null text is distinct and the
     count table is not full. A field binds by column index when there is
-    no header or its header name occurs more than once."""
+    no header or its header name occurs more than once. The source keeps
+    the `dialect` the profiles were read with."""
     taken: set[str] = set()
     header_uses = Counter(p.name for p in profiles)
     fields = []
@@ -307,7 +308,7 @@ def suggest_spec(
             if agree is not None:
                 fnotes.append(f"type {tname}: {agree} of {p.non_null} agree")
         column: str | int | None
-        if not has_header or header_uses[p.name] > 1:
+        if not dialect.has_header or header_uses[p.name] > 1:
             # a duplicated header name binds its first column only
             column = i + 1
         else:
@@ -316,7 +317,8 @@ def suggest_spec(
         notes[ident] = fnotes
     spec = ast.SpecAst(
         name="draft",
-        sources=(ast.SourceDecl(name=source_name, path=path, has_header=has_header),),
+        # a dialect's fields are the source options of the same names
+        sources=(ast.SourceDecl(name=source_name, path=path, **asdict(dialect)),),
         objects=(
             ast.ObjectDecl(name=source_name, source=source_name, fields=tuple(fields)),
         ),

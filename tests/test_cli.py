@@ -187,6 +187,51 @@ def test_profile_suggest_binds_duplicated_header_names_by_index(tmp_path, capsys
     assert {r["rule_id"]: r["count"] for r in rules if r["count"]} == {}
 
 
+
+def _draft_checked(tmp_path, capsys, data: str, *options: str, draft: str = "d.dq"):
+    """`profile d.csv --suggest DRAFT` with `options` over the text
+    `data`, then `check DRAFT`: (draft text, check exit code, violation
+    count per rule)."""
+    (tmp_path / "d.csv").write_text(data, encoding="utf-8")
+    draft_path = tmp_path / draft
+    draft_path.parent.mkdir(exist_ok=True)
+    argv = ["profile", str(tmp_path / "d.csv"), *options, "--suggest", str(draft_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code = main(["check", str(draft_path), "--report", "json"])
+    out = capsys.readouterr()
+    counts = {r["rule_id"]: r["count"] for r in json.loads(out.out)["rules"]} if out.out else {}
+    return draft_path.read_text(encoding="utf-8"), code, counts
+
+
+def test_draft_keeps_the_null_token(tmp_path, capsys):
+    # the NA the profile counted as null is no integer to check either
+    text, code, counts = _draft_checked(tmp_path, capsys, "n,v\na,1\nb,NA\nc,2\n", "--null-token", "NA")
+    assert "null_token 'NA';" in text and "field v integer" in text, text
+    assert code == 0 and counts["d.v.type"] == 0, counts
+
+
+def test_draft_keeps_delimiter_quote_and_no_header(tmp_path, capsys):
+    data = "1;'a;b';NA\n2;c;x\n3;'d';y\n"
+    options = ("--delimiter", ";", "--quote", "'", "--no-header", "--null-token", "NA")
+    text, code, counts = _draft_checked(tmp_path, capsys, data, *options)
+    for line in ("delimiter ';';", "quote '\\'';", "header false;", "null_token 'NA';"):
+        assert line in text, text
+    assert "field column_1 column 1 integer" in text, text
+    assert code in (0, 1) and not any(n for rid, n in counts.items() if rid.endswith(".type")), counts
+
+
+def test_column_only_ragged_rows_have_gets_no_field(tmp_path, capsys):
+    data = "a,b\n1,x\n2,y,z\n"
+    (tmp_path / "d.csv").write_text(data, encoding="utf-8")
+    assert main(["profile", str(tmp_path / "d.csv"), "--report", "json"]) == 0
+    # the profile itself still names the column
+    profiled = [c["name"] for c in json.loads(capsys.readouterr().out)["columns"]]
+    assert profiled == ["a", "b", "column_3"]
+    text, code, counts = _draft_checked(tmp_path, capsys, data)
+    assert "column_3" not in text and "field b text" in text, text
+    assert code in (0, 1) and counts["d.structure"] == 1, counts
+
 @pytest.mark.parametrize("name", ["bad name", "date", "1st", "é"])
 def test_profile_source_name_not_an_identifier_exit_2(tmp_path, capsys, name):
     data = write_csv(tmp_path / "d.csv", [["n"], ["1"]])

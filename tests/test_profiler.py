@@ -133,7 +133,7 @@ def test_headerless_profile_binds_by_index(tmp_path):
     with open_dataset(p, DialectConfig(has_header=False)) as r:
         profs = profiler.profile(r)
     assert [pr.name for pr in profs] == ["column_1", "column_2"]
-    spec, _ = profiler.suggest_spec(profs, "d", "d.csv", has_header=False)
+    spec, _ = profiler.suggest_spec(profs, "d", "d.csv", DialectConfig(has_header=False))
     assert [f.column for f in spec.objects[0].fields] == [1, 2]
     check_spec(spec)
 
