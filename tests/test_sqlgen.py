@@ -7,15 +7,20 @@ including three-valued IS NOT TRUE record-rule queries.
 """
 
 import csv
+import dataclasses
+import hashlib
+import random
 import sqlite3
 
 import pytest
 
-from dqspec import engine, sqlgen
+from dqspec import corpus, engine, sqlgen
 from dqspec.lang import check_spec, parse_spec
+from dqspec.lang.diagnostics import SpecValidationError
 from dqspec.patterns import like_translation
 from dqspec.values import ASCII_WS
 from helpers import load_plan, write_csv
+from randgen import rand_executable_spec, rand_spec_ast
 
 
 def _plan(text):
@@ -159,3 +164,37 @@ def test_sql_counts_match_engine_on_small_register(small_register_corpus):
     assert {"not_null", "matches", "min", "max", "minlen", "maxlen", "unique",
             "in_reference", "rule"} <= kinds
     assert checked >= 15
+
+
+# sha256 of the rendered suites of _pinned_specs(), each followed by a NUL
+SUITE_BYTES_SHA256 = "3adb9b87efc4537ac2f4ae18ae9805a031e15b5f102368d4774d3f5f08e04f64"
+
+
+def _pinned_specs():
+    """300 executable random specs; the random ASTs of the same seeds that
+    validate once their thresholds are dropped (these bind fields by
+    column name and by index); the register and licences reference specs."""
+    specs = [rand_executable_spec(random.Random(seed)) for seed in range(300)]
+    for seed in range(300):
+        spec = dataclasses.replace(rand_spec_ast(random.Random(seed)), thresholds=())
+        try:
+            check_spec(spec)
+        except SpecValidationError:
+            continue
+        specs.append(spec)
+    specs.append(corpus.reference_spec(corpus.register_plan()))
+    specs.append(corpus.reference_spec(corpus.licences_plan()))
+    return specs
+
+
+def test_suite_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in _pinned_specs():
+        vspec = check_spec(spec)
+        tables = {name: "t_" + name for name in vspec.source_map}
+        text = sqlgen.render_suite(sqlgen.emit_sql(engine.compile_plan(vspec), tables))
+        digest.update(text.encode("utf-8") + b"\0")
+        count += 1
+    assert count == 512
+    assert digest.hexdigest() == SUITE_BYTES_SHA256
