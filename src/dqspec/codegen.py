@@ -31,7 +31,7 @@ from decimal import Decimal
 from operator import itemgetter
 
 from .lang import ast
-from .values import ASCII_WS, DEC_RE, compile_date_format, parse_date_text, parse_int
+from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int
 
 MEMO_CAP = 16_384  # distinct texts remembered per date field
 
@@ -184,7 +184,7 @@ def _field(src: _Source, i: int, fs, kept: bool, nulls: str, vspec, indexes) -> 
     if type(ftype) in _PARSERS:
         fmt = ""
         if isinstance(ftype, ast.DateType):
-            fmt = src.const(vspec.date_formats.get(ftype.fmt) or compile_date_format(ftype.fmt))
+            fmt = src.const(vspec.date_formats[ftype.fmt])
         present = [line.format(i=i, fmt=fmt) for line in _PARSERS[type(ftype)]]
         present += [f"if v{i} is None:", "    " + type_viol]
         checks = _checks(src, fs, f"v{i}", raw, indexes)

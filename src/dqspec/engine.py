@@ -117,21 +117,13 @@ class CheckPlan:
     objects: tuple[ObjectPlan, ...]
     thresholds: tuple[ast.ThresholdDecl, ...]
 
-    @property
-    def spec_hash(self) -> str:
-        return self.spec.spec_hash
-
     def evaluator_ids(self) -> tuple[str, ...]:
         return tuple(
             m.rule_id for o in self.objects for m in o.emitters if m.is_evaluator
         )
 
     def ref_needs(self) -> tuple[tuple[str, str], ...]:
-        seen: dict[tuple[str, str], None] = {}
-        for o in self.objects:
-            for need in o.ref_needs:
-                seen.setdefault(need, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(need for o in self.objects for need in o.ref_needs))
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,6 @@ class DatasetReader:
             for cells in self._rows:
                 ordinal += 1
                 self.data_rows_read = ordinal
-                if self.width is None:
-                    self.width = len(cells)
                 yield ordinal, cells, len(cells) != self.width
         except UnicodeDecodeError as exc:
             raise DataError(

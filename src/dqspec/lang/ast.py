@@ -7,7 +7,6 @@ checks can compare parsed trees directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from decimal import Decimal
 from typing import Union
 

@@ -23,8 +23,6 @@ class ValidatedSpec:
     source_map: dict[str, ast.SourceDecl] = field(compare=False)
     patterns: dict[str, re.Pattern] = field(compare=False)
     date_formats: dict[str, DateFormat] = field(compare=False)
-    rule_ids: tuple[str, ...] = ()  # constraint + record-rule ids, declaration order
-    all_rule_ids: tuple[str, ...] = ()  # plus type and structure ids
     spec_hash: str = ""
 
 
@@ -64,8 +62,8 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
         else:
             compiled_patterns[pattern] = re.compile(pattern)
 
-    rule_ids: list[str] = []
-    all_rule_ids: list[str] = []
+    # every id a threshold may target: structure, type, constraint, rule
+    known_ids: set[str] = set()
     object_names: set[str] = set()
 
     for obj in spec.objects:
@@ -77,7 +75,7 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
             bad("UnknownSource", obj.pos, f"object '{obj.name}' reads from undeclared source '{obj.source}'")
         if not obj.fields:
             bad("EmptyObject", obj.pos, f"object '{obj.name}' declares no fields")
-        all_rule_ids.append(f"{obj.name}.structure")
+        known_ids.add(f"{obj.name}.structure")
 
         field_types: dict[str, ast.FieldType] = {}
         for f in obj.fields:
@@ -85,7 +83,7 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                 bad("DuplicateName", f.pos, f"field '{f.name}' declared twice in object '{obj.name}'")
                 continue
             field_types[f.name] = f.ftype
-            all_rule_ids.append(f"{obj.name}.{f.name}.type")
+            known_ids.add(f"{obj.name}.{f.name}.type")
             _check_field(obj, f, src, source_map, bad, check_pattern, compiled_formats)
             seen_kinds: set[str] = set()
             for c in f.constraints:
@@ -93,9 +91,7 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                     bad("DuplicateName", c.pos, f"constraint '{c.kind}' repeated on field '{f.name}'")
                     continue
                 seen_kinds.add(c.kind)
-                rid = f"{obj.name}.{f.name}.{c.kind}"
-                rule_ids.append(rid)
-                all_rule_ids.append(rid)
+                known_ids.add(f"{obj.name}.{f.name}.{c.kind}")
 
         rule_names: set[str] = set()
         for r in obj.rules:
@@ -107,12 +103,9 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                 continue
             rule_names.add(r.name)
             _check_expr(r.expr, field_types, bad, check_pattern)
-            rid = f"{obj.name}.{r.name}"
-            rule_ids.append(rid)
-            all_rule_ids.append(rid)
+            known_ids.add(f"{obj.name}.{r.name}")
 
     threshold_names: set[str] = set()
-    known_ids = set(all_rule_ids)
     for th in spec.thresholds:
         if th.name in threshold_names:
             bad("DuplicateName", th.pos, f"threshold '{th.name}' declared twice")
@@ -130,8 +123,6 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
         source_map=source_map,
         patterns=compiled_patterns,
         date_formats=compiled_formats,
-        rule_ids=tuple(rule_ids),
-        all_rule_ids=tuple(all_rule_ids),
         spec_hash=spec_hash(spec),
     )
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import date
-from decimal import Decimal
-
 from ..values import format_decimal
 from . import ast
 from .lexer import escape_string

@@ -31,6 +31,7 @@ agreement and never proposes a constraint its own evidence violates.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
@@ -48,6 +49,8 @@ DATE_PRESETS = ("YYYY-MM-DD", "DD.MM.YYYY", "DD/MM/YYYY")
 _PRESET_FORMATS = tuple(compile_date_format(f) for f in DATE_PRESETS)
 (_DATE_LENGTH,) = {df.length for df in _PRESET_FORMATS}
 _NUMBER_START = frozenset("+-.0123456789")
+# a number spelled with no needless zero: 7, +7, -7, 0.5, but not 07 or 7.0
+_SPELLED_NUMBER = re.compile(r"[+-]?(?:0|[1-9][0-9]*)(?:\.[0-9]*[1-9])?")
 
 DISTINCT_CAP = 1_000_000
 # rows counted per column at a time; small, so a chunk's cells add
@@ -69,6 +72,7 @@ class ColumnProfile:
     max_length: int = 0
     minmax: dict[str, tuple] = field(default_factory=dict)
     top: tuple[tuple[str, int], ...] = ()
+    unique_values: bool = False  # no two non-null cells share a value of the winning type
 
     @property
     def non_null(self) -> int:
@@ -118,6 +122,8 @@ class _ColumnAcc:
         # (-count, text) pairs are unique, so this is the sorted order
         best = heapq.nsmallest(top_k, zip(map(neg, self.counts.values()), self.counts))
         p.top = tuple((t, -m) for m, t in best)
+        distinct = p.distinct == p.non_null and not p.distinct_approx
+        p.unique_values = distinct and not _values_collide(self.counts, _winning_type(p))
         return p
 
 
@@ -236,6 +242,35 @@ def profile(reader: DatasetReader, top_k: int = 10) -> list[ColumnProfile]:
     return [a.finish(top_k) for a in accs]
 
 
+def _plain_decimal(v: Decimal) -> str:
+    s = format(v or Decimal(0), "f")  # 0, not -0
+    return s.rstrip("0").rstrip(".") if "." in s else s
+
+
+def _values_collide(texts, ftype: ast.FieldType) -> bool:
+    """Whether two of the distinct texts parse to one value of `ftype`.
+    With no needless zero a number has one spelling, or two (7, +7), or
+    three (0, +0, -0), all looked up in `texts`; only texts with needless
+    zeros are collected. A date has one spelling, a text is its value."""
+    if isinstance(ftype, ast.IntegerType):
+        parse, plain = parse_int, str
+    elif isinstance(ftype, ast.DecimalType):
+        parse, plain = Decimal, _plain_decimal
+    else:
+        return False
+    seen = set()
+    for t in texts:
+        if _SPELLED_NUMBER.fullmatch(t):
+            if t[0] == "+" and t[1:] in texts or t == "-0" and ("0" in texts or "+0" in texts):
+                return True
+            continue
+        p = plain(parse(t))
+        if p in texts or "+" + p in texts or p == "0" and "-0" in texts or p in seen:
+            return True
+        seen.add(p)
+    return False
+
+
 def _winning_type(p: ColumnProfile) -> ast.FieldType:
     """Narrowest type every non-null cell parses as: integer, then
     decimal, then each date preset, else text."""
@@ -281,10 +316,10 @@ def suggest_spec(
 ) -> tuple[ast.SpecAst, dict[str, list[str]]]:
     """Draft spec from profiles plus per-field provenance notes: `not
     null` when no nulls were seen, the narrowest type every non-null cell
-    parses as, and `unique` when every non-null text is distinct and the
-    count table is not full. A field binds by column index when there is
-    no header or its header name occurs more than once. The source keeps
-    the `dialect` the profiles were read with."""
+    parses as, and `unique` when no two non-null cells share a value of
+    that type and the count table is not full. A field binds by column
+    index when there is no header or its header name occurs more than
+    once. The source keeps the `dialect` the profiles were read with."""
     taken: set[str] = set()
     header_uses = Counter(p.name for p in profiles)
     fields = []
@@ -297,7 +332,7 @@ def suggest_spec(
         if p.records > 0 and p.nulls == 0:
             constraints.append(ast.FieldConstraint("not_null"))
             fnotes.append("not null: no nulls observed")
-        if p.non_null > 0 and not p.distinct_approx and p.distinct == p.non_null:
+        if p.non_null > 0 and p.unique_values:
             constraints.append(ast.FieldConstraint("unique"))
             fnotes.append(f"unique: {p.distinct} distinct of {p.non_null} non-null")
         tname = ast.type_name(ftype)

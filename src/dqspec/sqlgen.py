@@ -2,6 +2,10 @@
 rule: a counting query returning the violating-record count and a
 listing query returning the violating rows.
 
+The input is `engine.compile_plan`'s output alone: each rule id is its
+emitter's, each column the field's binding, each constraint argument
+as the plan keeps it; the spec's AST is not read again.
+
 Only portable constructs are emitted: no vendor regex functions, no
 dialect-specific casts. A `matches` constraint is emitted as LIKE when
 the pattern has a lossless LIKE translation, otherwise the rule is
@@ -18,6 +22,8 @@ case-sensitively (SQLite: PRAGMA case_sensitive_like = ON).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
+from decimal import Decimal
 
 from . import patterns as pat
 from .engine import CheckPlan, ObjectPlan
@@ -59,99 +65,86 @@ def quote_text(s: str) -> str:
     return "'" + s.replace("'", "''") + "'"
 
 
-def _literal_sql(lit: ast.Lit) -> str:
-    if lit.kind == "int":
-        return str(lit.value)
-    if lit.kind == "decimal":
-        return format_decimal(lit.value)
-    if lit.kind == "text":
-        return quote_text(lit.value)
-    if lit.kind == "date":
-        return f"DATE {quote_text(lit.value.isoformat())}"
-    raise ValueError(lit.kind)
+def _literal_sql(value) -> str:
+    """A bound's or a rule literal's value as SQL."""
+    if isinstance(value, date):
+        return f"DATE {quote_text(value.isoformat())}"
+    if isinstance(value, Decimal):
+        return format_decimal(value)
+    if isinstance(value, int):
+        return str(value)
+    return quote_text(value)
 
 
 def emit_sql(plan: CheckPlan, table_names: dict[str, str]) -> SqlSuite:
     """One entry per plan evaluator, ordered by rule_id. Raises
     UnmappedSource if a needed source has no table name."""
-    for oplan in plan.objects:
-        if oplan.source not in table_names:
-            raise UnmappedSource(f"source '{oplan.source}' has no table mapping")
-        for src, _col in oplan.ref_needs:
-            if src not in table_names:
-                raise UnmappedSource(f"source '{src}' has no table mapping")
     rules: list[SqlRule] = []
     for oplan in plan.objects:
-        rules.extend(_object_rules(plan, oplan, table_names))
+        for src in (oplan.source, *(src for src, _col in oplan.ref_needs)):
+            if src not in table_names:
+                raise UnmappedSource(f"source '{src}' has no table mapping")
+        rules.extend(_object_rules(oplan, table_names))
     rules.sort(key=lambda r: r.rule_id)
     return SqlSuite(dialect="ansi", rules=tuple(rules))
 
 
-def _column_sql(oplan: ObjectPlan, field_name: str) -> str:
-    for fs in oplan.fields:
-        if fs.name == field_name:
-            if isinstance(fs.column, str):
-                return quote_ident(fs.column)
-            # positional binding has no portable SQL name; use the field name
-            return quote_ident(fs.name)
-    raise KeyError(field_name)
-
-
-def _object_rules(plan: CheckPlan, oplan: ObjectPlan, tables: dict[str, str]):
+def _object_rules(oplan: ObjectPlan, tables: dict[str, str]):
     table = quote_ident(tables[oplan.source])
-    obj = plan.spec.ast.objects[[o.name for o in plan.objects].index(oplan.name)]
+    # a positional binding has no portable SQL name; use the field name
+    columns = {
+        fs.name: quote_ident(fs.column if isinstance(fs.column, str) else fs.name)
+        for fs in oplan.fields
+    }
     out = []
-
-    for f in obj.fields:
-        col = _column_sql(oplan, f.name)
-        for c in f.constraints:
-            rid = f"{oplan.name}.{f.name}.{c.kind}"
-            out.append(_constraint_rule(rid, c, col, table, tables, plan))
-
-    for r in obj.rules:
-        rid = f"{oplan.name}.{r.name}"
+    for fs in oplan.fields:
+        for kind, eidx, arg in fs.constraints:
+            rid = oplan.emitters[eidx].rule_id
+            out.append(_constraint_rule(rid, kind, arg, columns[fs.name], table, tables))
+    for eidx, rule in oplan.rules:
+        rid = oplan.emitters[eidx].rule_id
         try:
-            cond = _expr_sql(r.expr, oplan)
+            cond = _expr_sql(rule.expr, columns)
         except _Inexpressible as exc:
             out.append(SqlRule(rid, "rule", None, None, str(exc)))
             continue
-        where = f"({cond}) IS NOT TRUE"
-        out.append(
-            SqlRule(
-                rid,
-                "rule",
-                f"SELECT COUNT(*) FROM {table} WHERE {where}",
-                f"SELECT * FROM {table} WHERE {where}",
-            )
-        )
+        out.append(_where_rule(rid, "rule", table, f"({cond}) IS NOT TRUE"))
     return out
 
 
-def _constraint_rule(rid: str, c: ast.FieldConstraint, col: str, table: str, tables, plan) -> SqlRule:
-    if c.kind == "not_null":
+def _where_rule(rid: str, kind: str, table: str, where: str) -> SqlRule:
+    rows = f"FROM {table} WHERE {where}"
+    return SqlRule(rid, kind, f"SELECT COUNT(*) {rows}", f"SELECT * {rows}")
+
+
+def _constraint_rule(rid: str, kind: str, arg, col: str, table: str, tables) -> SqlRule:
+    """`arg` as `engine.compile_plan` keeps it: the compiled pattern of
+    matches, the bound's value of min and max, the length of minlen and
+    maxlen, the (source, column) of in_reference."""
+    if kind == "not_null":
         where = f"{col} IS NULL"
-    elif c.kind == "matches":
-        like, reason = pat.like_translation(c.arg)
+    elif kind == "matches":
+        like, reason = pat.like_translation(arg.pattern)
         if like is None:
-            return SqlRule(rid, c.kind, None, None, f"pattern '{c.arg}': {reason}")
+            return SqlRule(rid, kind, None, None, f"pattern '{arg.pattern}': {reason}")
         where = f"{col} IS NOT NULL AND {col} NOT LIKE {quote_text(like)} ESCAPE '\\'"
-    elif c.kind == "min":
-        where = f"{col} < {_literal_sql(c.arg)}"
-    elif c.kind == "max":
-        where = f"{col} > {_literal_sql(c.arg)}"
-    elif c.kind == "minlen":
-        where = f"{col} IS NOT NULL AND CHAR_LENGTH({col}) < {c.arg}"
-    elif c.kind == "maxlen":
-        where = f"{col} IS NOT NULL AND CHAR_LENGTH({col}) > {c.arg}"
-    elif c.kind == "in_reference":
-        ref_src, ref_col = c.arg
+    elif kind == "min":
+        where = f"{col} < {_literal_sql(arg)}"
+    elif kind == "max":
+        where = f"{col} > {_literal_sql(arg)}"
+    elif kind == "minlen":
+        where = f"{col} IS NOT NULL AND CHAR_LENGTH({col}) < {arg}"
+    elif kind == "maxlen":
+        where = f"{col} IS NOT NULL AND CHAR_LENGTH({col}) > {arg}"
+    elif kind == "in_reference":
+        ref_src, ref_col = arg
         rt = quote_ident(tables[ref_src])
         rc = quote_ident(ref_col)
         where = (
             f"{col} IS NOT NULL AND {col} NOT IN "
             f"(SELECT {rc} FROM {rt} WHERE {rc} IS NOT NULL)"
         )
-    elif c.kind == "unique":
+    else:  # unique
         count_sql = (
             f"SELECT COALESCE(SUM(extra), 0) FROM "
             f"(SELECT COUNT(*) - 1 AS extra FROM {table} "
@@ -163,45 +156,38 @@ def _constraint_rule(rid: str, c: ast.FieldConstraint, col: str, table: str, tab
             f"(SELECT {col} FROM {table} WHERE {col} IS NOT NULL "
             f"GROUP BY {col} HAVING COUNT(*) > 1)"
         )
-        return SqlRule(rid, c.kind, count_sql, list_sql)
-    else:
-        return SqlRule(rid, c.kind, None, None, f"constraint kind '{c.kind}' not supported")
-    return SqlRule(
-        rid,
-        c.kind,
-        f"SELECT COUNT(*) FROM {table} WHERE {where}",
-        f"SELECT * FROM {table} WHERE {where}",
-    )
+        return SqlRule(rid, kind, count_sql, list_sql)
+    return _where_rule(rid, kind, table, where)
 
 
 class _Inexpressible(Exception):
     pass
 
 
-def _operand_sql(op, oplan: ObjectPlan) -> str:
+def _operand_sql(op, columns: dict[str, str]) -> str:
     if isinstance(op, ast.FieldRef):
-        return _column_sql(oplan, op.name)
-    return _literal_sql(op)
+        return columns[op.name]
+    return _literal_sql(op.value)
 
 
-def _expr_sql(e, oplan: ObjectPlan) -> str:
+def _expr_sql(e, columns: dict[str, str]) -> str:
     if isinstance(e, ast.Cmp):
         op = "<>" if e.op == "!=" else e.op
-        return f"{_operand_sql(e.lhs, oplan)} {op} {_operand_sql(e.rhs, oplan)}"
+        return f"{_operand_sql(e.lhs, columns)} {op} {_operand_sql(e.rhs, columns)}"
     if isinstance(e, ast.NullTest):
         test = "IS NOT NULL" if e.negated else "IS NULL"
-        return f"{_operand_sql(e.operand, oplan)} {test}"
+        return f"{_operand_sql(e.operand, columns)} {test}"
     if isinstance(e, ast.MatchTest):
         like, reason = pat.like_translation(e.pattern)
         if like is None:
             raise _Inexpressible(f"pattern '{e.pattern}': {reason}")
-        return f"{_operand_sql(e.operand, oplan)} LIKE {quote_text(like)} ESCAPE '\\'"
+        return f"{_operand_sql(e.operand, columns)} LIKE {quote_text(like)} ESCAPE '\\'"
     if isinstance(e, ast.And):
-        return " AND ".join(f"({_expr_sql(i, oplan)})" for i in e.items)
+        return " AND ".join(f"({_expr_sql(i, columns)})" for i in e.items)
     if isinstance(e, ast.Or):
-        return " OR ".join(f"({_expr_sql(i, oplan)})" for i in e.items)
+        return " OR ".join(f"({_expr_sql(i, columns)})" for i in e.items)
     if isinstance(e, ast.Not):
-        return f"NOT ({_expr_sql(e.item, oplan)})"
+        return f"NOT ({_expr_sql(e.item, columns)})"
     raise ValueError(f"not an expression node: {e!r}")
 
 

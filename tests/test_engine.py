@@ -1,11 +1,15 @@
 """Plan compilation and stream evaluation semantics."""
 
+import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
 
 from dqspec import engine
 from dqspec.ingest import open_dataset
-from dqspec.lang import ast, check_spec, parse_spec
+from dqspec.lang import SpecValidationError, ast, check_spec, parse_spec
 from helpers import load_plan, run_spec, violations_by_rule, write_csv
 from naive_oracle import naive_evaluate
 from randgen import rand_dataset, rand_executable_spec
@@ -180,12 +184,35 @@ def test_ref_needs_deduplicated():
     assert plan.ref_needs() == (("lku", "code"),)
 
 
-def test_plan_evaluator_ids_match_checker(seed_count: int = 30):
+def test_threshold_targets_are_the_plan_emitters(tmp_path, seed_count: int = 30):
+    """The checker accepts as a threshold target exactly the ids of the
+    plan's emitters, structure and type included, and the run reports one
+    verdict per such threshold."""
     for seed in range(seed_count):
-        spec = rand_executable_spec(random.Random(5000 + seed))
-        vspec = check_spec(spec)
-        plan = engine.compile_plan(vspec)
-        assert sorted(plan.evaluator_ids()) == sorted(vspec.rule_ids)
+        rng = random.Random(5000 + seed)
+        spec = rand_executable_spec(rng)
+        (oplan,) = engine.compile_plan(check_spec(spec)).objects
+        ids = [m.rule_id for m in oplan.emitters]
+        thresholds = tuple(
+            ast.ThresholdDecl(f"t{i}", rid, "<=", Decimal(100)) for i, rid in enumerate(ids)
+        )
+        plan = engine.compile_plan(check_spec(dataclasses.replace(spec, thresholds=thresholds)))
+        base = tmp_path / str(seed)
+        base.mkdir()
+        paths = {n: write_csv(base / f"{n}.csv", rows) for n, rows in rand_dataset(rng, spec).items()}
+        rep = engine.run(plan, paths)
+        assert [v.target for v in rep.thresholds] == ids and rep.passed
+
+        obj = spec.objects[0]
+        absent = [f"{obj.name}.nosuch", f"{obj.name}.{obj.fields[0].name}"]
+        for f in obj.fields:
+            kinds = {c.kind for c in f.constraints}
+            absent += [f"{obj.name}.{f.name}.{k}" for k in ast.CONSTRAINT_KINDS if k not in kinds]
+        for target in absent:
+            bad = dataclasses.replace(spec, thresholds=(ast.ThresholdDecl("t", target, "<=", Decimal(1)),))
+            with pytest.raises(SpecValidationError) as ei:
+                check_spec(bad)
+            assert [i.code for i in ei.value.issues] == ["UnknownRule"], target
 
 
 def test_build_lookup_index(tmp_path):

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from dqspec.engine import compile_plan
 from dqspec.lang import (
     SpecEncodingError,
     SpecSyntaxError,
@@ -266,8 +267,8 @@ def test_licences_reference_spec_has_nine_fields(licences_corpus):
 def test_random_executable_specs_validate():
     for seed in range(40):
         spec = rand_executable_spec(random.Random(seed))
-        vspec = check_spec(spec)
-        assert vspec.rule_ids
+        plan = compile_plan(check_spec(spec))
+        assert plan.evaluator_ids()
 
 
 def test_dimension_mapping_total():

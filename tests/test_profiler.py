@@ -5,14 +5,17 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import random
 from fractions import Fraction
+
+import pytest
 
 from dqspec import corpus, profiler
 from dqspec.cli import main
 from dqspec.ingest import DialectConfig, open_dataset
 from dqspec.lang import ast, check_spec, parse_spec
-from helpers import write_csv
+from helpers import main_captured, write_csv
 from naive_oracle import _parse_date, _parse_dec, _parse_int
 
 
@@ -112,6 +115,47 @@ def test_suggest_never_contradicts_evidence(tmp_path):
     a, b = spec.objects[0].fields
     assert all(c.kind != "not_null" for c in a.constraints)  # a had a null
     assert all(c.kind != "unique" for c in b.constraints)  # b had duplicates
+
+
+@pytest.mark.parametrize(
+    "texts, unique",
+    [
+        (["7", "07", "8"], False),
+        (["7", "+7", "8"], False),
+        (["07", "+7", "8"], False),
+        (["0", "-0"], False),
+        (["-0", "00"], False),
+        (["1", "1.0", "2.5"], False),
+        (["1.0", "1.00", "2.5"], False),
+        ([".5", "0.50"], False),
+        (["-0.0", "0"], False),
+        (["7", "70", "-7", "0", "1.5", "-1.5", "0.05"], True),
+        (["+37120000001", "+37120000002", "+37129999999"], True),
+    ],
+)
+def test_suggest_unique_compares_typed_values(tmp_path, texts, unique):
+    # a draft's `unique` holds for the values `check` compares, not only
+    # for the texts: 7, 07 and +7 are one integer, 1, 1.0 and 1.00 one decimal
+    (prof,) = _profiles(tmp_path, [["v"]] + [[t] for t in texts])
+    assert prof.distinct == len(texts)
+    spec, _notes = profiler.suggest_spec([prof], "d", "d.csv")
+    kinds = [c.kind for c in spec.objects[0].fields[0].constraints]
+    assert ("unique" in kinds) == unique
+
+
+def test_values_collide_matches_parsed_values():
+    rng = random.Random(17)
+    pool = ["0", "-0", "+0", "00", "+00", "0.0", "+0.0", "7", "07", "+7", "+07", "-7", "-07",
+            "10", "010", "+10", "1", "+1", "1.0", "1.00", "+1.0", "1.", ".5", "+.5", "0.5", "+0.5",
+            "-.5", "-0.5", "0.50", "2.50", "2.5", "+2.5", "-2.5", "-0.0", "100", "1.10", "1.1"]
+    for _ in range(2000):
+        texts = dict.fromkeys(rng.sample(pool, rng.randrange(1, 6)))
+        for ftype, parse in ((ast.IntegerType(), _parse_int), (ast.DecimalType(), _parse_dec)):
+            values = [parse(t) for t in texts]
+            if None in values:
+                continue
+            want = len(set(values)) < len(values)
+            assert profiler._values_collide(texts, ftype) == want, (list(texts), ftype)
 
 
 def test_draft_renders_parses_and_validates(tmp_path):
@@ -248,6 +292,11 @@ def _reference(path, dialect, top_k, cap):
                 text_only += n
                 values["text"].append(t)
         ranked = sorted(c["table"].items(), key=lambda kv: (-kv[1], kv[0]))
+        # the winning type's values; a text's value is the text itself,
+        # and the table holds each text once
+        nn = c["records"] - c["nulls"]
+        win = next((k for k in _PARSERS if tallies[k] == nn), None) if nn else None
+        unique_values = len(c["table"]) == nn <= cap and (win is None or len(set(values[win])) == nn)
         out.append(
             profiler.ColumnProfile(
                 name=name,
@@ -262,6 +311,7 @@ def _reference(path, dialect, top_k, cap):
                 max_length=max((len(t) for t, _n in seq), default=0),
                 minmax={k: (min(vs), max(vs)) for k, vs in values.items() if vs},
                 top=tuple(ranked[:top_k]),
+                unique_values=unique_values,
             )
         )
     return out
@@ -310,3 +360,73 @@ def test_profile_matches_per_cell_reference(tmp_path, monkeypatch):
         want = _reference(path, dialect, top_k, cap)
         context = (trial, cap, dialect, nrows, ragged, unique)
         assert [_comparable(p) for p in got] == [_comparable(p) for p in want], context
+
+
+# ------------------------------------------------ profile, then check the draft
+
+# header names: duplicated, not identifiers, keywords, quoted, padded, empty
+_HEADER_POOL = (
+    "id", "id", "amount", "from", "unique", "null", "field", "Reģ. nr.", "1st",
+    "x y", "a-b", "a_b", "it's", 'say "hi"', "back\\slash", " padded ", "", "semi;colon",
+)
+
+
+def _round_trip_cell(rng: random.Random, kind: str, i: int) -> str:
+    if kind == "int":
+        return rng.choice(("7", "07", "+7", "-0", "0", "-12", str(rng.randrange(-99, 99))))
+    if kind == "distinct int":  # distinct texts, now and then of one value
+        return f"+{i - 1}" if i and rng.random() < 0.1 else rng.choice(("", "0")) + str(i)
+    if kind == "dec":
+        return rng.choice(("1.0", "1.00", "1", ".5", "0.50", "-0.0", f"{rng.randrange(-50, 50)}.{rng.randrange(10)}"))
+    if kind == "distinct dec":
+        return f"{i - 1}.00" if i and rng.random() < 0.1 else f"{i}{rng.choice(('', '.0', '.5'))}"
+    if kind == "date":
+        return rng.choice(("2020-01-02", "2021-12-31", "1999-02-28"))
+    if kind == "distinct text":
+        return f"t{i}"
+    return rng.choice(("x", "X y", "riga", "a;b", "q'uote", 'd"q', "multi\nline", "7", "2020-01-02"))
+
+
+def test_drafts_check_clean_against_their_own_file(tmp_path):
+    """Seeded random tables through `profile --suggest` and then `check`
+    of the draft: a draft never fails its own file. Every count is 0,
+    except `<obj>.structure`, which counts the ragged rows."""
+    rng = random.Random(20261020)
+    kinds = ("int", "distinct int", "dec", "distinct dec", "date", "distinct text", "text")
+    for trial in range(80):
+        delimiter = rng.choice((",", ";", "|"))
+        quote = rng.choice(('"', "'"))
+        null_tokens = rng.choice(((), ("NA",), ("", "NA"), ("-",)))
+        has_header = rng.random() < 0.75
+        width = rng.randrange(1, 6)
+        col_kinds = [rng.choice(kinds) for _ in range(width)]
+        rows = [rng.sample(_HEADER_POOL, width)] if has_header else []
+        if has_header and width > 1 and rng.random() < 0.3:
+            rows[0][1] = rows[0][0]  # a duplicated header name
+        ragged = 0
+        for i in range(rng.randrange(1, 50)):
+            row = [
+                rng.choice(null_tokens or ("",)) if rng.random() < 0.1 else _round_trip_cell(rng, k, i)
+                for k in col_kinds
+            ]
+            # the first data row of a headerless file fixes the width
+            if (rows or i) and rng.random() < 0.08:
+                row = row[: rng.randrange(width)] if rng.random() < 0.5 else row + ["spill"]
+                ragged += 1
+            rows.append(row)
+        base = tmp_path / str(trial)
+        base.mkdir()
+        data = base / "t.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, delimiter=delimiter, quotechar=quote, lineterminator="\n").writerows(rows)
+        argv = ["profile", str(data), "--delimiter", delimiter, "--quote", quote, "--suggest", str(base / "t.dq")]
+        argv += [] if has_header else ["--no-header"]
+        for tok in null_tokens:
+            argv += ["--null-token", tok]
+        context = (trial, rows)
+        assert main_captured(argv)[0] == 0, context
+        code, out, err = main_captured(["check", str(base / "t.dq"), "--report", "json"])
+        assert code == 0, (context, err)
+        counts = {r["rule_id"]: r["count"] for r in json.loads(out)["rules"]}
+        assert counts.pop("t.structure") == ragged, context
+        assert set(counts.values()) <= {0}, (context, counts)

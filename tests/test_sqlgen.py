@@ -11,16 +11,20 @@ import dataclasses
 import hashlib
 import random
 import sqlite3
+from datetime import date
+from decimal import Decimal
 
 import pytest
 
 from dqspec import corpus, engine, sqlgen
-from dqspec.lang import check_spec, parse_spec
+from dqspec.lang import ast, check_spec, parse_spec
 from dqspec.lang.diagnostics import SpecValidationError
 from dqspec.patterns import like_translation
+from dqspec.sqlgen import quote_ident
 from dqspec.values import ASCII_WS
 from helpers import load_plan, write_csv
-from randgen import rand_executable_spec, rand_spec_ast
+from naive_oracle import FAIL, _parse
+from randgen import rand_dataset, rand_executable_spec, rand_spec_ast
 
 
 def _plan(text):
@@ -198,3 +202,97 @@ def test_suite_bytes_are_pinned():
         count += 1
     assert count == 512
     assert digest.hexdigest() == SUITE_BYTES_SHA256
+
+
+# text that differs from the spec's patterns and literals by letter case
+_CASE_POOL = ("X y", "x Y", "AxB", "axb", "ABC", "Abc", "lv-1010", "Lv-1010", "RIGA", "Riga", "ru-1234", "RU-1234")
+_SQL_TYPES = {ast.IntegerType: "INTEGER", ast.DecimalType: "REAL"}
+
+
+def _with_case_variants(rng, spec, rows):
+    """`rows` with some text and enum cells replaced by case variants."""
+    header, data = rows[0], rows[1:]
+    texty = [
+        header.index(f.name)
+        for f in spec.objects[0].fields
+        if isinstance(f.ftype, (ast.TextType, ast.EnumType))
+    ]
+    for row in data:
+        for j in texty:
+            if j < len(row) and rng.random() < 0.2:
+                cell = row[j]
+                row[j] = rng.choice((cell.upper(), cell.lower(), cell.swapcase(), rng.choice(_CASE_POOL)))
+    return [header] + data
+
+
+def _sql_value(t, ftype, null_tokens):
+    """The typed value a store holds for trimmed text `t`: None for a null
+    or a cell that does not parse as its field's type."""
+    if t in null_tokens:
+        return None
+    v = _parse(t, ftype)
+    if v is FAIL:
+        return None
+    if isinstance(v, Decimal):
+        assert Decimal(repr(float(v))) == v, t  # REAL holds it exactly
+        return float(v)
+    if isinstance(v, date):
+        return v.isoformat()
+    return v
+
+
+def _typed_sqlite(spec, data):
+    """SQLite loaded as the suite assumes: integers as INTEGER, decimals as
+    REAL, dates as ISO text, every null or unparsable cell as NULL; ragged
+    rows are dropped, and LIKE is case-sensitive."""
+    con = sqlite_with({})
+    sources = {s.name: s for s in spec.sources}
+    for name, rows in data.items():
+        header = rows[0]
+        if name == "main":
+            fields = spec.objects[0].fields
+            cols = [(f.name, header.index(f.name), f.ftype) for f in fields]
+        else:
+            cols = [(c, j, ast.TextType()) for j, c in enumerate(header)]
+        decl = ", ".join(f"{quote_ident(c)} {_SQL_TYPES.get(type(ft), 'TEXT')}" for c, _j, ft in cols)
+        con.execute(f"CREATE TABLE {quote_ident(name)} ({decl})")
+        nulls = sources[name].null_tokens
+        con.executemany(
+            f"INSERT INTO {quote_ident(name)} VALUES ({','.join('?' * len(cols))})",
+            (
+                [_sql_value(row[j].strip(ASCII_WS), ft, nulls) for _c, j, ft in cols]
+                for row in rows[1:]
+                if len(row) == len(header)
+            ),
+        )
+    return con
+
+
+def test_sql_counts_match_engine_on_random_specs(tmp_path):
+    """Every expressible query of a random spec counts what the engine
+    counts, over a typed store of a random dataset with case variants;
+    a store's not_null count also holds the engine's type violations,
+    because an unparsable cell is stored as NULL."""
+    checked = {}
+    for seed in range(300):
+        rng = random.Random(60000 + seed)
+        spec = rand_executable_spec(rng)
+        data = rand_dataset(rng, spec)
+        data["main"] = _with_case_variants(rng, spec, data["main"])
+        base = tmp_path / str(seed)
+        base.mkdir()
+        paths = {name: write_csv(base / f"{name}.csv", rows) for name, rows in data.items()}
+        plan = engine.compile_plan(check_spec(spec))
+        rep = engine.run(plan, paths)
+        con = _typed_sqlite(spec, data)
+        for rule in sqlgen.emit_sql(plan, {name: name for name in data}).expressible():
+            want = rep.rule(rule.rule_id).count
+            if rule.kind == "not_null":
+                want += rep.rule(rule.rule_id.rsplit(".", 1)[0] + ".type").count
+            got = con.execute(adapt(rule.count_sql)).fetchone()[0]
+            assert got == want, (seed, rule.rule_id)
+            if rule.kind != "unique":  # a duplicate group lists its first row too
+                assert len(con.execute(adapt(rule.list_sql)).fetchall()) == want, (seed, rule.rule_id)
+            checked[rule.kind] = checked.get(rule.kind, 0) + 1
+    assert set(checked) == {"not_null", "matches", "min", "max", "minlen", "maxlen", "unique", "in_reference", "rule"}
+    assert sum(checked.values()) > 1500, checked
