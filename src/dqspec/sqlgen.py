@@ -144,7 +144,7 @@ def _constraint_rule(rid: str, kind: str, arg, col: str, table: str, tables) -> 
             f"{col} IS NOT NULL AND {col} NOT IN "
             f"(SELECT {rc} FROM {rt} WHERE {rc} IS NOT NULL)"
         )
-    else:  # unique
+    elif kind == "unique":
         count_sql = (
             f"SELECT COALESCE(SUM(extra), 0) FROM "
             f"(SELECT COUNT(*) - 1 AS extra FROM {table} "
