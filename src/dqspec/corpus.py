@@ -3,9 +3,14 @@
 A corpus plan describes one or more CSV datasets (column generators,
 record counts), the quality constraints its reference spec should
 carry, and a list of defect injections: (rule to violate, exact count,
-value recipe). Generation is a pure function of (plan, seed): positions
-are drawn by a seeded PRNG without replacement, injections touching the
-same column stay disjoint, and the output bytes are reproducible.
+value recipe). Generation is a pure function of (plan, seed): the same
+plan and seed give the same bytes. Injected positions are drawn without
+replacement from one stream seeded by the seed, and injections touching
+the same column stay disjoint. Rows are made a column at a time for each
+chunk of CHUNK_ROWS rows, and each chunk draws from its own stream seeded
+by (seed, dataset, chunk index), as in Gray et al., "Quickly Generating
+Billion-Record Synthetic Databases" (SIGMOD 1994): a chunk's bytes do not
+depend on the chunks before it.
 
 Alongside the data, generate() writes the reference .dq spec derived
 from the plan and a manifest recording, per rule, the exact set of
@@ -21,8 +26,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from datetime import date
+from functools import cache
+from itertools import accumulate, cycle, islice, repeat
+from operator import add
 from pathlib import Path
 
 from .lang import ast, check_spec, format_spec, parse_expression
@@ -254,65 +263,75 @@ def _dec(v):
 
 # ------------------------------------------------------------ value generators
 
+# Rows are made a chunk of CHUNK_ROWS at a time, each chunk from its own
+# stream seeded by (seed, dataset, chunk index), so chunk k's bytes do not
+# depend on the chunks before it. The constant is part of the byte format.
+CHUNK_ROWS = 256
+
 _SYLLABLES = (
     "ba", "ri", "ga", "ze", "mi", "ko", "la", "tu", "ne",
     "vi", "sa", "do", "pe", "ru", "ka", "li", "mo", "te",
 )
+_PAIRS = tuple(a + b for a in _SYLLABLES for b in _SYLLABLES)
+_TITLE_PAIRS = tuple(p.capitalize() for p in _PAIRS)
+# A word is a head pair and a tail of no syllable, one syllable or a pair,
+# each a third of the time: 2, 3 or 4 uniform syllables in two uniform
+# draws, since each of the 972 tails below is equally likely.
+_TAILS = ("",) * 324 + _SYLLABLES * 18 + _PAIRS
+_STREET_NUMBERS = range(1, 200)
+_LETTERS = {"@": tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), "&": tuple("abcdefghijklmnopqrstuvwxyz")}
 
 
-# Draws below are inlined rejection loops over getrandbits(n.bit_length()):
-# exactly CPython's Random._randbelow(n), and so the same stream as
-# rng.choice / rng.randrange, without their per-call overhead.
-_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_LOWER = _UPPER.lower()
-_DIGITS = "0123456789"
+def _uniform_ints(lo: int, hi: int):
+    """fn(rng, count) -> count ints uniform in [lo, hi]. choices() takes 53
+    random bits per draw, so a wider span keeps randrange per value and
+    every value stays reachable."""
+    if hi - lo < 2**53:
+        span = range(lo, hi + 1)
+        return lambda rng, count: rng.choices(span, k=count)
+    return lambda rng, count: [rng.randrange(lo, hi + 1) for _ in range(count)]
 
 
-def _word(rng: random.Random, title: bool = False) -> str:
-    bits = rng.getrandbits
-    n = bits(2)  # 2 + randbelow(3) syllables
-    while n >= 3:
-        n = bits(2)
-    parts = []
-    for _ in range(n + 2):
-        r = bits(5)  # randbelow(len(_SYLLABLES) == 18)
-        while r >= 18:
-            r = bits(5)
-        parts.append(_SYLLABLES[r])
-    w = "".join(parts)
-    return w.capitalize() if title else w
+def _word_column(rng: random.Random, count: int, heads: tuple[str, ...]) -> list[str]:
+    return list(map(add, rng.choices(heads, k=count), rng.choices(_TAILS, k=count)))
 
 
-def _rand_date_text(rng: random.Random, lo_ord: int, hi_ord: int, fmt: str) -> str:
-    d = date.fromordinal(rng.randrange(lo_ord, hi_ord + 1))
-    return _format_date(d, fmt)
+def _literal(text: str) -> str:
+    """`text` as a literal part of a str.format string."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
-def _format_date(d: date, fmt: str) -> str:
+def _date_formatter(fmt: str):
+    """date -> `fmt` with YYYY, MM and DD replaced, in that order."""
+    if fmt == "YYYY-MM-DD":
+        return date.isoformat  # the same text in one C call
     return (
-        fmt.replace("YYYY", f"{d.year:04d}")
-        .replace("MM", f"{d.month:02d}")
-        .replace("DD", f"{d.day:02d}")
+        _literal(fmt)
+        .replace("YYYY", "{0.year:04d}")
+        .replace("MM", "{0.month:02d}")
+        .replace("DD", "{0.day:02d}")
+        .format
     )
 
 
-def _template_value(rng: random.Random, t: str) -> str:
-    bits = rng.getrandbits
-    out = []
-    for ch in t:
-        if ch == "#":
-            r = bits(4)  # randbelow(10)
-            while r >= 10:
-                r = bits(4)
-            out.append(_DIGITS[r])
-        elif ch == "@" or ch == "&":
-            r = bits(5)  # randbelow(26)
-            while r >= 26:
-                r = bits(5)
-            out.append(_UPPER[r] if ch == "@" else _LOWER[r])
-        else:
-            out.append(ch)
-    return "".join(out)
+@cache
+def _digit_texts(n: int) -> tuple[str, ...]:
+    return tuple(f"{i:0{n}d}" for i in range(10**n))
+
+
+def _template_gen(t: str):
+    """`#` is a digit, `@` an upper-case and `&` a lower-case letter. Each
+    letter and each group of up to three `#` is one draw from a table of
+    its texts; the rest of `t` is literal."""
+    pieces = [
+        _digit_texts(len(s)) if s[0] == "#" else _LETTERS.get(s, s)
+        for s in re.findall(r"#{1,3}|[@&]|[^#@&]+", t)
+    ]
+    if all(isinstance(p, str) for p in pieces):
+        return lambda rng, first, count, cols: [t] * count
+    return lambda rng, first, count, cols: list(
+        map("".join, zip(*[repeat(p) if isinstance(p, str) else rng.choices(p, k=count) for p in pieces]))
+    )
 
 
 def _check_range(kind: str, lo, hi, gen: dict):
@@ -320,57 +339,67 @@ def _check_range(kind: str, lo, hi, gen: dict):
         raise ValueError(f"generator {kind!r} has hi {gen['hi']!r} below lo {gen['lo']!r}")
 
 
-def _compile_gen(gen: dict, col_index: dict[str, int]):
-    """Compile a generator dict to fn(rng, ordinal, row) -> str; raises
-    ValueError for arguments that could not make a value, so a plan
+def _compile_gen(gen: dict, earlier: dict[str, int]):
+    """Compile a generator dict to fn(rng, first_ordinal, count, cols) ->
+    the column's `count` values from ordinal `first_ordinal` on; `cols`
+    holds the chunk's earlier columns, which `earlier` indexes by name.
+    Raises ValueError for arguments that could not make a value, so a plan
     fails before any file is written."""
     kind = gen["kind"]
     if kind == "seq":
-        prefix = gen.get("prefix", "")
-        start = int(gen.get("start", 1))
-        width = int(gen.get("width", 0))
-        return lambda rng, i, row: f"{prefix}{start + i - 1:0{width}d}"
+        start = int(gen.get("start", 1)) - 1
+        fill = (_literal(str(gen.get("prefix", ""))) + f"{{:0{int(gen.get('width', 0))}d}}").format
+        return lambda rng, first, count, cols: list(map(fill, range(start + first, start + first + count)))
     if kind == "digits":
         n = int(gen["n"])
         if n < 1:
             raise ValueError(f"generator 'digits' needs n >= 1, got {n}")
-        lo = 10 ** (n - 1)
-        hi = 10**n
-        return lambda rng, i, row: str(rng.randrange(lo, hi))
+        draw = _uniform_ints(10 ** (n - 1), 10**n - 1)
+        return lambda rng, first, count, cols: list(map(str, draw(rng, count)))
     if kind == "template":
-        t = gen["t"]
-        return lambda rng, i, row: _template_value(rng, t)
+        return _template_gen(gen["t"])
     if kind == "int":
         lo, hi = int(gen["lo"]), int(gen["hi"])
         _check_range(kind, lo, hi, gen)
-        return lambda rng, i, row: str(rng.randrange(lo, hi + 1))
+        draw = _uniform_ints(lo, hi)
+        return lambda rng, first, count, cols: list(map(str, draw(rng, count)))
     if kind == "dec":
         scale = int(gen.get("scale", 2))
+        if scale < 0:
+            raise ValueError(f"generator 'dec' needs scale >= 0, got {scale}")
         mul = 10**scale
         lo = int(round(float(gen["lo"]) * mul))
         hi = int(round(float(gen["hi"]) * mul))
         _check_range(kind, lo, hi, gen)
+        draw = _uniform_ints(lo, hi)
 
-        def dec_fn(rng, i, row, _lo=lo, _hi=hi, _mul=mul, _scale=scale):
-            v = rng.randrange(_lo, _hi + 1)
-            whole, frac = divmod(v, _mul)
-            return f"{whole}.{frac:0{_scale}d}"
+        def dec_fn(rng, first, count, cols):
+            out = []
+            for v in draw(rng, count):
+                whole, frac = divmod(abs(v), mul)
+                out.append(f"{'-' if v < 0 else ''}{whole}.{frac:0{scale}d}")
+            return out
 
         return dec_fn
     if kind == "date":
-        fmt = gen.get("fmt", "YYYY-MM-DD")
+        text = _date_formatter(gen.get("fmt", "YYYY-MM-DD"))
         lo_ord = date.fromisoformat(gen["lo"]).toordinal()
         hi_ord = date.fromisoformat(gen["hi"]).toordinal()
         _check_range(kind, lo_ord, hi_ord, gen)
-        return lambda rng, i, row: _rand_date_text(rng, lo_ord, hi_ord, fmt)
+        days = range(lo_ord, hi_ord + 1)
+        return lambda rng, first, count, cols: list(map(text, map(date.fromordinal, rng.choices(days, k=count))))
     if kind in ("choice", "cycle"):
-        values = list(gen["values"])
+        values = tuple(gen["values"])
         if not values:
             raise ValueError(f"generator {kind!r} needs at least one value")
         if kind == "choice":
-            return lambda rng, i, row: rng.choice(values)
-        n = len(values)
-        return lambda rng, i, row: values[(i - 1) % n]
+            return lambda rng, first, count, cols: rng.choices(values, k=count)
+
+        def cycle_fn(rng, first, count, cols):
+            at = (first - 1) % len(values)
+            return list(islice(cycle(values), at, at + count))
+
+        return cycle_fn
     if kind == "words":
         lo = int(gen.get("min", 1))
         hi = int(gen.get("max", 3))
@@ -378,34 +407,57 @@ def _compile_gen(gen: dict, col_index: dict[str, int]):
             raise ValueError(f"generator 'words' needs min >= 1, got {lo}")
         if hi < lo:
             raise ValueError(f"generator 'words' has max {hi} below min {lo}")
-        title = bool(gen.get("title", False))
+        heads = _TITLE_PAIRS if gen.get("title", False) else _PAIRS
+        n_words = range(lo, hi + 1)
 
-        def words_fn(rng, i, row, _lo=lo, _hi=hi, _title=title):
-            return " ".join(_word(rng, _title) for _ in range(rng.randrange(_lo, _hi + 1)))
+        def words_fn(rng, first, count, cols):
+            ends = list(accumulate(rng.choices(n_words, k=count)))
+            words = _word_column(rng, ends[-1], heads)
+            return [" ".join(words[a:b]) for a, b in zip([0] + ends, ends)]
 
         return words_fn
     if kind == "address":
-        return lambda rng, i, row: f"{_word(rng, True)} street {rng.randrange(1, 200)}"
+        street = "{} street {}".format
+        return lambda rng, first, count, cols: list(
+            map(street, _word_column(rng, count, _TITLE_PAIRS), rng.choices(_STREET_NUMBERS, k=count))
+        )
     if kind == "fixed":
         v = gen["value"]
-        return lambda rng, i, row: v
+        return lambda rng, first, count, cols: [v] * count
     if kind == "blank":
-        return lambda rng, i, row: ""
+        return lambda rng, first, count, cols: [""] * count
     if kind == "maybe":
         p = float(gen["p"])
-        inner = _compile_gen(gen["inner"], col_index)
-        return lambda rng, i, row: inner(rng, i, row) if rng.random() < p else ""
+        inner = _compile_gen(gen["inner"], earlier)
+
+        def maybe_fn(rng, first, count, cols):
+            rnd = rng.random
+            keep = [rnd() < p for _ in repeat(None, count)]
+            return [v if k else "" for k, v in zip(keep, inner(rng, first, count, cols))]
+
+        return maybe_fn
     if kind == "pair_close":
-        with_idx = col_index[gen["with"]]
+        if gen["with"] not in earlier:
+            raise ValueError(
+                f"generator 'pair_close' needs 'with' to name an earlier column, got {gen['with']!r}"
+            )
+        w = earlier[gen["with"]]
         fmt = gen.get("fmt", "YYYY-MM-DD")
+        iso = fmt == "YYYY-MM-DD"
+        text = _date_formatter(fmt)
         hi_ord = date.fromisoformat(gen.get("hi", "2018-05-31")).toordinal()
 
-        def pair_fn(rng, i, row, _w=with_idx, _fmt=fmt, _hi=hi_ord):
-            base = row[_w]
-            if base == "":
-                return ""
-            lo = date.fromisoformat(base).toordinal() if _fmt == "YYYY-MM-DD" else _hi
-            return _rand_date_text(rng, lo, max(lo, _hi), _fmt)
+        def pair_fn(rng, first, count, cols):
+            out = []
+            rnd = rng.random
+            for base in cols[w]:
+                if base == "":
+                    out.append("")
+                    continue
+                lo = date.fromisoformat(base).toordinal() if iso else hi_ord
+                o = lo + int(rnd() * (max(lo, hi_ord) - lo + 1))
+                out.append(text(date.fromordinal(o)))
+            return out
 
         return pair_fn
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -433,13 +485,13 @@ def _recipe_mutations(recipe: dict, rng: random.Random, fmt_lookup) -> list[tupl
         col = recipe["column"]
         y = rng.randrange(int(recipe.get("lo_year", 1200)), int(recipe.get("hi_year", 1700)))
         d = date(y, rng.randrange(1, 13), rng.randrange(1, 29))
-        return [(col, _format_date(d, fmt_lookup(col)))]
+        return [(col, _date_formatter(fmt_lookup(col))(d))]
     if kind == "pair_break":
         col = recipe["column"]
         lo = date.fromisoformat(recipe.get("lo", "1995-01-01")).toordinal()
         hi = date.fromisoformat(recipe.get("hi", "2018-05-31")).toordinal()
         d = date.fromordinal(rng.randrange(lo, hi + 1))
-        return [(col, _format_date(d, fmt_lookup(col))), (recipe["pair"], "")]
+        return [(col, _date_formatter(fmt_lookup(col))(d)), (recipe["pair"], "")]
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
@@ -457,6 +509,10 @@ def _sample_positions(plan: CorpusPlan, records: int, rng: random.Random):
             raise InfeasiblePlan(
                 f"column '{col}' needs {total} disjoint injected records, only {records} exist"
             )
+    # the rejection loop of CPython's Random._randbelow over getrandbits:
+    # the same stream as rng.randrange(1, records + 1), without its call cost
+    bits = rng.getrandbits
+    width = records.bit_length()
     for inj in plan.injections:
         cols = _recipe_columns(inj.recipe)
         forbidden = set()
@@ -469,7 +525,10 @@ def _sample_positions(plan: CorpusPlan, records: int, rng: random.Random):
             )
         chosen: set[int] = set()
         while len(chosen) < inj.count:
-            o = rng.randrange(1, records + 1)
+            o = bits(width)
+            while o >= records:
+                o = bits(width)
+            o += 1
             if o in forbidden or o in chosen:
                 continue
             chosen.add(o)
@@ -510,44 +569,48 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
     fmt_by_col = {
         c.name: (c.field or {}).get("fmt", "YYYY-MM-DD") for c in target.columns
     }
-    mutations: dict[int, list[tuple[int, str]]] = {}
-    manifest_rules: dict[str, list[int]] = {}
     col_index = {c.name: i for i, c in enumerate(target.columns)}
+    # (ordinal, column index, value) per injected cell, by chunk index
+    mutations: dict[int, list[tuple[int, int, str]]] = {}
+    manifest_rules: dict[str, list[int]] = {}
     for inj, ordinals in zip(plan.injections, positions):
         if inj.rule is not None:
             manifest_rules.setdefault(inj.rule, []).extend(ordinals)
         for o in ordinals:
             muts = _recipe_mutations(inj.recipe, rng_sample, fmt_by_col.__getitem__)
-            mutations.setdefault(o, []).extend(
-                (col_index[col], val) for col, val in muts
+            mutations.setdefault((o - 1) // CHUNK_ROWS, []).extend(
+                (o, col_index[col], val) for col, val in muts
             )
-    rows_by_dataset = []  # (ordinals, compiled generators) per dataset
+    gens_by_dataset = []
     for d in plan.datasets:
-        idx = {c.name: i for i, c in enumerate(d.columns)}
-        gens = [_compile_gen(c.gen, idx) for c in d.columns]
-        rows_by_dataset.append((range(1, d.records + 1), gens))
+        earlier: dict[str, int] = {}
+        gens = []
+        for i, c in enumerate(d.columns):
+            gens.append(_compile_gen(c.gen, earlier))
+            earlier[c.name] = i
+        gens_by_dataset.append(gens)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec_path = out / f"{plan.name}.dq"
     spec_path.write_text(spec_text, encoding="utf-8")
     dataset_paths: dict[str, Path] = {}
-    for d, (ordinals, gens) in zip(plan.datasets, rows_by_dataset):
+    for d, gens in zip(plan.datasets, gens_by_dataset):
         path = out / d.filename
         dataset_paths[d.name] = path
-        rng_rows = random.Random(f"{seed}:rows:{d.name}")
-        is_target = d.name == target.name
+        patches = mutations if d.name == target.name else {}
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow([c.name for c in d.columns])
-            for i in ordinals:
-                row = []
+            for chunk, first in enumerate(range(1, d.records + 1, CHUNK_ROWS)):
+                count = min(CHUNK_ROWS, d.records + 1 - first)
+                rng = random.Random(f"{seed}:rows:{d.name}:{chunk}")
+                cols: list[list[str]] = []
                 for g in gens:
-                    row.append(g(rng_rows, i, row))
-                if is_target and i in mutations:
-                    for ci, val in mutations[i]:
-                        row[ci] = val
-                w.writerow(row)
+                    cols.append(g(rng, first, count, cols))
+                for o, ci, val in patches.get(chunk, ()):
+                    cols[ci][o - first] = val
+                w.writerows(zip(*cols) if cols else [()] * count)  # a row per record
 
     manifest = ViolationManifest(
         plan_name=plan.name,

@@ -362,10 +362,22 @@ PLAN_EDITS = {
         lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="2.5", hi="2.49"),
         "'dec'",
     ),
+    "dec with scale below 0": (
+        lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="1", hi="9", scale=-1),
+        "'dec'",
+    ),
     "date with hi below lo": (lambda doc, cols: cols["terms"]["gen"].update(hi="2012-12-31"), "'date'"),
     "digits with n below 1": (lambda doc, cols: cols["hours"]["gen"].update(kind="digits", n=0), "'digits'"),
     "words with max below min": (lambda doc, cols: cols["program"]["gen"].update(min=3, max=2), "'words'"),
     "words with min below 1": (lambda doc, cols: cols["program"]["gen"].update(min=0, max=2), "'words'"),
+    "pair_close with a later column": (
+        lambda doc, cols: cols["terms"].update(gen={"kind": "pair_close", "with": "licence_no"}),
+        "'licence_no'",
+    ),
+    "pair_close with its own column": (
+        lambda doc, cols: cols["terms"].update(gen={"kind": "pair_close", "with": "terms"}),
+        "'terms'",
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 """Corpus generation: determinism, manifests, oracle closure."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -176,19 +177,175 @@ def test_licences_hours_blank_446(licences_corpus):
 
 
 def test_generated_bytes_are_pinned(tmp_path):
-    """The byte stream of a fixed (plan, seed) never changes: any edit to
-    the generators must keep drawing the same random numbers."""
+    """A dataset's bytes are a function of (plan, seed, CHUNK_ROWS), so a
+    change to any generator's draws shows here. The manifests and the
+    reference spec depend on neither the generators nor CHUNK_ROWS."""
     import hashlib
 
     want = {
         "manifest.json": "2b1b706a1d22b59f3ff15a90af6a3ffe10a4f6f22ef14db34a6373201ddb20e8",
-        "regions.csv": "86c57431be14574a9441beccd08677b650e764f561adef8e15b823e1ba9e8fb4",
-        "register.csv": "d0995495399b4b1ce27218bb41e7de296f8445d2cbbd1018427e1b12ff70e1ae",
+        "regions.csv": "cec33d6407cf1012a732c5d0fc6c1c622672c25afe7651e5469e9a126a1f5197",
+        "register.csv": "99d9b65db502821d23b8bd47b96ce824bdc99ecc19b141dd949d60dfdee1c35c",
         "register.dq": "c4b1a679af82e4af4539253b5a27d7f87794e68d4d2e6919af2d53bf8d1f7eca",
-        "licences/licences.csv": "54948855c90e100419f84b6b3edffb5f6d19abbfa174901167d2df93c494ba50",
+        "licences/licences.csv": "1b3ca518bf2adda82bc35540f11c7ba2fe878b521d24784e42d4efa592610f86",
         "licences/manifest.json": "287e43afcbdd322ed8bd90fac4823f7c1148974839c3e4ae102a217706290473",
     }
     corpus.generate(_tiny_register(records=300, divisor=400, seed=5), tmp_path)
     corpus.generate(corpus.licences_plan(), tmp_path / "licences")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
     assert got == want
+
+
+@pytest.mark.parametrize("records", [1, 2, 3, 7, 8, 9, 255, 256, 257, 1000, 4096, 396_952])
+def test_sampling_draws_the_randrange_stream(records):
+    """_sample_positions draws exactly as rng.randrange(1, records + 1)
+    does: the same positions, and the same generator state afterwards."""
+    counts = [min(records, c) for c in (1, min(records // 3, 1000), 400)]
+    plan = corpus.CorpusPlan(
+        name="s",
+        seed=1,
+        object_dataset="s",
+        datasets=(),
+        injections=tuple(
+            corpus.Injection(None, n, {"kind": "blank", "column": f"c{i}"}) for i, n in enumerate(counts)
+        ),
+    )
+    rng = random.Random(f"{records}:inject")
+    got = corpus._sample_positions(plan, records, rng)
+    ref = random.Random(f"{records}:inject")
+    want = []
+    for n in counts:
+        chosen = set()
+        while len(chosen) < n:
+            chosen.add(ref.randrange(1, records + 1))
+        want.append(sorted(chosen))
+    assert got == want
+    assert rng.getstate() == ref.getstate()
+
+
+def _column_values(res, dataset):
+    import csv
+
+    with open(res.dataset_paths[dataset], newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+
+def _syllables(word):
+    return [word[i:i + 2] for i in range(0, len(word), 2)]
+
+
+def test_every_generator_stays_in_its_domain(tmp_path):
+    import re
+    from datetime import date
+    from decimal import Decimal
+
+    records = 2 * corpus.CHUNK_ROWS + 7
+    base = {"kind": "maybe", "p": 0.5, "inner": {"kind": "date", "lo": "2000-01-01", "hi": "2010-12-31"}}
+    gens = {
+        "seq": {"kind": "seq", "prefix": "S{", "start": 5, "width": 6},
+        "digits1": {"kind": "digits", "n": 1},
+        "digits30": {"kind": "digits", "n": 30},
+        "template": {"kind": "template", "t": "#{@}&-##########"},
+        "int_one": {"kind": "int", "lo": 7, "hi": 7},
+        "int": {"kind": "int", "lo": -3, "hi": 3},
+        "dec": {"kind": "dec", "lo": "-0.25", "hi": "0.25", "scale": 2},
+        "date": {"kind": "date", "lo": "2001-02-03", "hi": "2001-03-04", "fmt": "DD.MM.YYYY"},
+        "date_iso": {"kind": "date", "lo": "1800-01-01", "hi": "2099-12-31"},
+        "choice_one": {"kind": "choice", "values": ["only"]},
+        "choice": {"kind": "choice", "values": ["a", "b", "c"]},
+        "cycle": {"kind": "cycle", "values": ["x", "y", "z"]},
+        "words": {"kind": "words", "min": 2, "max": 4},
+        "words_title": {"kind": "words", "min": 1, "max": 3, "title": True},
+        "address": {"kind": "address"},
+        "fixed": {"kind": "fixed", "value": "k"},
+        "blank": {"kind": "blank"},
+        "maybe_maybe": {"kind": "maybe", "p": 0.7, "inner": {"kind": "maybe", "p": 0.5, "inner": {"kind": "choice", "values": ["m1", "m2"]}}},
+        "base": base,
+        "close_iso": {"kind": "pair_close", "with": "base", "hi": "2012-12-31"},
+        "close_dotted": {"kind": "pair_close", "with": "base", "hi": "2012-12-31", "fmt": "DD.MM.YYYY"},
+    }
+    plan = corpus.CorpusPlan(
+        name="kinds",
+        seed=3,
+        object_dataset="kinds",
+        datasets=(
+            corpus.DatasetPlan(
+                name="kinds",
+                filename="kinds.csv",
+                records=records,
+                columns=tuple(
+                    corpus.ColumnPlan(name, gen, {"type": "text"} if name == "seq" else None)
+                    for name, gen in gens.items()
+                ),
+            ),
+        ),
+    )
+    cols = _column_values(corpus.generate(plan, tmp_path), "kinds")
+    assert all(len(v) == records for v in cols.values())
+
+    def dotted(text):
+        return date(int(text[6:]), int(text[3:5]), int(text[:2]))
+
+    def varies(values, *, at=None):
+        return len({v if at is None else v[at] for v in values}) > 1
+
+    assert cols["seq"] == [f"S{{{i + 4:06d}" for i in range(1, records + 1)]
+    assert all(re.fullmatch("[1-9]", v) for v in cols["digits1"])
+    assert all(re.fullmatch("[1-9][0-9]{29}", v) for v in cols["digits30"])
+    assert all(re.fullmatch(r"[0-9]\{[A-Z]\}[a-z]-[0-9]{10}", v) for v in cols["template"])
+    for name, positions in (("digits1", 1), ("digits30", 30), ("template", 16)):
+        for at in range(positions):
+            if cols[name][0][at].isalnum():
+                assert varies(cols[name], at=at), (name, at)
+    assert set(cols["int_one"]) == {"7"}
+    assert set(cols["int"]) == {str(i) for i in range(-3, 4)}
+    assert all(re.fullmatch(r"-?0\.[0-9]{2}", v) for v in cols["dec"])
+    assert {Decimal(v) for v in cols["dec"]} == {Decimal(i) / 100 for i in range(-25, 26)}
+    assert all(date(2001, 2, 3) <= dotted(v) <= date(2001, 3, 4) for v in cols["date"])
+    assert {dotted(v) for v in cols["date"]} == {date.fromordinal(o) for o in range(date(2001, 2, 3).toordinal(), date(2001, 3, 5).toordinal())}
+    assert all(date(1800, 1, 1) <= date.fromisoformat(v) <= date(2099, 12, 31) for v in cols["date_iso"])
+    assert varies(cols["date_iso"], at=slice(0, 2))
+    assert set(cols["choice_one"]) == {"only"}
+    assert set(cols["choice"]) == {"a", "b", "c"}
+    assert cols["cycle"] == [("x", "y", "z")[(i - 1) % 3] for i in range(1, records + 1)]
+    for name, lo, hi, title in (("words", 2, 4, False), ("words_title", 1, 3, True)):
+        counts = {len(v.split(" ")) for v in cols[name]}
+        assert counts == set(range(lo, hi + 1)), name
+        sizes = set()
+        for v in cols[name]:
+            for word in v.split(" "):
+                assert word == (word.capitalize() if title else word.lower()), word
+                parts = _syllables(word.lower())
+                assert set(parts) <= set(corpus._SYLLABLES), word
+                sizes.add(len(parts))
+        assert sizes == {2, 3, 4}, name
+    for v in cols["address"]:
+        word, street, number = v.split(" ")
+        assert word == word.capitalize() and set(_syllables(word.lower())) <= set(corpus._SYLLABLES)
+        assert street == "street" and 1 <= int(number) <= 199
+    assert varies(cols["address"])
+    assert set(cols["fixed"]) == {"k"} and set(cols["blank"]) == {""}
+    assert set(cols["maybe_maybe"]) == {"", "m1", "m2"}
+    kept = sum(v != "" for v in cols["maybe_maybe"]) / records
+    assert abs(kept - 0.35) < 5 * (0.35 * 0.65 / records) ** 0.5  # five standard deviations
+    for b, iso, dot in zip(cols["base"], cols["close_iso"], cols["close_dotted"]):
+        if b == "":
+            assert iso == dot == ""
+        else:
+            assert date.fromisoformat(b) <= date.fromisoformat(iso) <= date(2012, 12, 31)
+            assert dot == "31.12.2012"
+    assert varies([iso for iso in cols["close_iso"] if iso])
+
+
+def test_full_chunks_do_not_depend_on_the_record_count(tmp_path):
+    """A chunk's rows come from its own stream, so the rows of every full
+    chunk are the same whatever follows them."""
+    n = corpus.CHUNK_ROWS
+    files = []
+    for records in (2 * n, 3 * n):
+        res = corpus.generate(corpus.register_plan(records=records, inject=False), tmp_path / str(records))
+        files.append(res.dataset_paths["register"].read_bytes().splitlines(keepends=True))
+    short, long = files
+    assert len(short) == 2 * n + 1 and len(long) == 3 * n + 1
+    assert short == long[: 2 * n + 1]
