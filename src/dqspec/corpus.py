@@ -263,9 +263,9 @@ def _dec(v):
 
 # ------------------------------------------------------------ value generators
 
-# Rows are made a chunk of CHUNK_ROWS at a time, each chunk from its own
-# stream seeded by (seed, dataset, chunk index), so chunk k's bytes do not
-# depend on the chunks before it. The constant is part of the byte format.
+# Part of the byte format, since each chunk draws from its own stream.
+# Small chunks keep generation's peak memory within about 1 MB of what a
+# row-at-a-time loop needs.
 CHUNK_ROWS = 256
 
 _SYLLABLES = (
@@ -348,7 +348,10 @@ def _compile_gen(gen: dict, earlier: dict[str, int]):
     kind = gen["kind"]
     if kind == "seq":
         start = int(gen.get("start", 1)) - 1
-        fill = (_literal(str(gen.get("prefix", ""))) + f"{{:0{int(gen.get('width', 0))}d}}").format
+        width = int(gen.get("width", 0))
+        if width < 0:
+            raise ValueError(f"generator 'seq' needs width >= 0, got {width}")
+        fill = (_literal(str(gen.get("prefix", ""))) + f"{{:0{width}d}}").format
         return lambda rng, first, count, cols: list(map(fill, range(start + first, start + first + count)))
     if kind == "digits":
         n = int(gen["n"])

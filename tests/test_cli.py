@@ -362,6 +362,7 @@ PLAN_EDITS = {
         lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="2.5", hi="2.49"),
         "'dec'",
     ),
+    "seq with width below 0": (lambda doc, cols: cols["licence_no"]["gen"].update(width=-3), "'seq'"),
     "dec with scale below 0": (
         lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="1", hi="9", scale=-1),
         "'dec'",
