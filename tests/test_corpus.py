@@ -245,6 +245,7 @@ def test_every_generator_stays_in_its_domain(tmp_path):
     gens = {
         "seq": {"kind": "seq", "prefix": "S{", "start": 5, "width": 6},
         "digits1": {"kind": "digits", "n": 1},
+        "digits16": {"kind": "digits", "n": 16},
         "digits30": {"kind": "digits", "n": 30},
         "template": {"kind": "template", "t": "#{@}&-##########"},
         "int_one": {"kind": "int", "lo": 7, "hi": 7},
@@ -292,9 +293,10 @@ def test_every_generator_stays_in_its_domain(tmp_path):
 
     assert cols["seq"] == [f"S{{{i + 4:06d}" for i in range(1, records + 1)]
     assert all(re.fullmatch("[1-9]", v) for v in cols["digits1"])
+    assert all(re.fullmatch("[1-9][0-9]{15}", v) for v in cols["digits16"])
     assert all(re.fullmatch("[1-9][0-9]{29}", v) for v in cols["digits30"])
     assert all(re.fullmatch(r"[0-9]\{[A-Z]\}[a-z]-[0-9]{10}", v) for v in cols["template"])
-    for name, positions in (("digits1", 1), ("digits30", 30), ("template", 16)):
+    for name, positions in (("digits1", 1), ("digits16", 16), ("digits30", 30), ("template", 16)):
         for at in range(positions):
             if cols[name][0][at].isalnum():
                 assert varies(cols[name], at=at), (name, at)
@@ -349,3 +351,13 @@ def test_full_chunks_do_not_depend_on_the_record_count(tmp_path):
     short, long = files
     assert len(short) == 2 * n + 1 and len(long) == 3 * n + 1
     assert short == long[: 2 * n + 1]
+
+
+def test_iso_date_text_matches_the_general_format():
+    """`YYYY-MM-DD` is written by date.isoformat; every other format goes
+    through str.format. Both give the same digits, zero-padded alike."""
+    from datetime import date
+
+    iso, slashed = corpus._date_formatter("YYYY-MM-DD"), corpus._date_formatter("YYYY/MM/DD")
+    for d in (date(1, 1, 1), date(999, 12, 31), date(1200, 2, 9), date(2018, 5, 31), date(9999, 12, 31)):
+        assert iso(d) == slashed(d).replace("/", "-"), d
