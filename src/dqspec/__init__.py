@@ -5,36 +5,12 @@ compile and execute them against CSV datasets to get per-rule violation
 counts, exact error rates, flagged records and pass/fail verdicts
 against aggregate thresholds. The same plan transpiles to an ANSI SQL
 suite, and a profiler drafts specifications from the data itself.
+
+Each public name is imported from its submodule on first access, so a
+command loads only the modules it runs.
 """
 
-from .engine import (
-    CheckPlan,
-    LookupIndex,
-    QualityReport,
-    RuleStat,
-    ThresholdVerdict,
-    Violation,
-    build_lookup_index,
-    compile_plan,
-    finalize_aggregates,
-    run,
-)
-from .ingest import (
-    DataError,
-    DatasetReader,
-    DialectConfig,
-    HeaderMissingColumn,
-    open_dataset,
-)
-from .lang import (
-    SpecEncodingError,
-    SpecSyntaxError,
-    SpecValidationError,
-    ValidatedSpec,
-    check_spec,
-    format_spec,
-    parse_spec,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -63,3 +39,37 @@ __all__ = [
     "SpecValidationError",
     "SpecEncodingError",
 ]
+
+# public name -> the submodule that defines it
+_HOME = {
+    name: module
+    for module, names in {
+        ".engine": (
+            "CheckPlan",
+            "LookupIndex",
+            "QualityReport",
+            "RuleStat",
+            "ThresholdVerdict",
+            "Violation",
+            "build_lookup_index",
+            "compile_plan",
+            "finalize_aggregates",
+            "run",
+        ),
+        ".ingest": ("DataError", "DatasetReader", "DialectConfig", "HeaderMissingColumn", "open_dataset"),
+        ".lang.checker": ("ValidatedSpec", "check_spec"),
+        ".lang.diagnostics": ("SpecEncodingError", "SpecSyntaxError", "SpecValidationError"),
+        ".lang.formatter": ("format_spec",),
+        ".lang.parser": ("parse_spec",),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    # not a public name: `from dqspec import engine` then imports the submodule
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_HOME[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -10,6 +10,10 @@ Each command raises; `main` alone maps an error class to its code and
 prints it, a spec's semantic errors one issue per line. `gen` exits 2 on
 a plan it cannot use (`bad plan: ...`) before it writes any file, and
 `profile --source-name` must be an identifier that is not a keyword.
+
+A command imports the modules it runs when it runs; the top of this
+module imports only what `main` needs to map errors, so `profile` and
+`--help` never load the check engine.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import contextlib
 import sys
 from pathlib import Path
 
-from . import engine, report
 from .ingest import DataError, DialectConfig, open_dataset
-from .lang import SpecEncodingError, SpecSyntaxError, SpecValidationError, check_spec, parse_spec
+from .lang import SpecEncodingError, SpecSyntaxError, SpecValidationError
 from .lang.lexer import KEYWORDS
 
 EXIT_OK = 0
@@ -37,6 +40,8 @@ class UsageError(Exception):
 
 def _load_spec(path: str):
     """The validated spec in a file; raises the lang exceptions."""
+    from .lang import check_spec, parse_spec
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -67,6 +72,8 @@ def _data_paths(vspec, spec_path: str, overrides: list[str]) -> dict[str, str]:
 
 
 def _cmd_check(args) -> int:
+    from . import engine, report
+
     vspec = _load_spec(args.spec)
     data_paths = _data_paths(vspec, args.spec, args.data)
     plan = engine.compile_plan(vspec)
@@ -128,7 +135,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_emit_sql(args) -> int:
-    from . import sqlgen
+    from . import engine, sqlgen
 
     vspec = _load_spec(args.spec)
     # an explicit mapping must name every needed source

@@ -343,12 +343,19 @@ def _check_range(kind: str, lo, hi, gen: dict):
         raise ValueError(f"generator {kind!r} has hi {gen['hi']!r} below lo {gen['lo']!r}")
 
 
-def _compile_gen(gen: dict, earlier: dict[str, int]):
+def _makes_iso_dates(gen: dict) -> bool:
+    """Whether every non-blank value of `gen` is a YYYY-MM-DD date."""
+    if gen["kind"] == "maybe":
+        return _makes_iso_dates(gen["inner"])
+    return gen["kind"] in ("date", "pair_close") and gen.get("fmt", "YYYY-MM-DD") == "YYYY-MM-DD"
+
+
+def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
     """Compile a generator dict to fn(rng, first_ordinal, count, cols) ->
     the column's `count` values from ordinal `first_ordinal` on; `cols`
-    holds the chunk's earlier columns, which `earlier` indexes by name.
-    Raises ValueError for arguments that could not make a value, so a plan
-    fails before any file is written."""
+    holds the chunk's earlier columns, which `earlier` maps by name to
+    their index and generator dict. Raises ValueError for arguments that
+    could not make a value, so a plan fails before any file is written."""
     kind = gen["kind"]
     if kind == "seq":
         start = int(gen.get("start", 1)) - 1
@@ -448,9 +455,13 @@ def _compile_gen(gen: dict, earlier: dict[str, int]):
             raise ValueError(
                 f"generator 'pair_close' needs 'with' to name an earlier column, got {gen['with']!r}"
             )
-        w = earlier[gen["with"]]
+        w, base_gen = earlier[gen["with"]]
         fmt = gen.get("fmt", "YYYY-MM-DD")
         iso = fmt == "YYYY-MM-DD"
+        if iso and not _makes_iso_dates(base_gen):
+            raise ValueError(
+                f"generator 'pair_close' needs 'with' to name a column of ISO dates, got {gen['with']!r}"
+            )
         text = _date_formatter(fmt)
         hi_ord = date.fromisoformat(gen.get("hi", "2018-05-31")).toordinal()
 
@@ -590,11 +601,11 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
             )
     gens_by_dataset = []
     for d in plan.datasets:
-        earlier: dict[str, int] = {}
+        earlier: dict[str, tuple[int, dict]] = {}
         gens = []
         for i, c in enumerate(d.columns):
             gens.append(_compile_gen(c.gen, earlier))
-            earlier[c.name] = i
+            earlier[c.name] = (i, c.gen)
         gens_by_dataset.append(gens)
 
     out = Path(out_dir)

@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from .codegen import Evaluator
-from .ingest import DataError, DatasetReader, csv_rows, dialect_from_source, open_dataset
+from .ingest import DataError, DatasetReader, DialectConfig, csv_rows, open_dataset
 from .lang import ast
 from .lang.checker import ValidatedSpec
 from .values import ASCII_WS, format_decimal
@@ -475,6 +475,15 @@ def _pooled(pool, cuts, window: int, reader, ev: Evaluator):
 
 
 # ------------------------------------------------------------------- execution
+
+def dialect_from_source(src: ast.SourceDecl) -> DialectConfig:
+    return DialectConfig(
+        delimiter=src.delimiter,
+        quote=src.quote,
+        has_header=src.has_header,
+        null_tokens=src.null_tokens,
+    )
+
 
 def build_lookup_index(reader: DatasetReader, column: str | int, source_name: str = "") -> LookupIndex:
     """Distinct non-null trimmed values of one column; nulls and ragged

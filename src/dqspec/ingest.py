@@ -15,8 +15,6 @@ import csv
 import os
 from dataclasses import dataclass
 
-from .lang import ast
-
 
 class DataError(Exception):
     """I/O or structural problem that aborts a run (exit code 3)."""
@@ -38,15 +36,6 @@ class DialectConfig:
             raise ValueError("delimiter and quote must be single characters")
         if self.delimiter == self.quote:
             raise ValueError("delimiter and quote must differ")
-
-
-def dialect_from_source(src: ast.SourceDecl) -> DialectConfig:
-    return DialectConfig(
-        delimiter=src.delimiter,
-        quote=src.quote,
-        has_header=src.has_header,
-        null_tokens=src.null_tokens,
-    )
 
 
 def csv_rows(lines, dialect: DialectConfig):
@@ -170,6 +159,5 @@ __all__ = [
     "HeaderMissingColumn",
     "DialectConfig",
     "DatasetReader",
-    "dialect_from_source",
     "open_dataset",
 ]

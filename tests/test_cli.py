@@ -269,16 +269,51 @@ def test_engine_bug_is_not_an_exit_code(tmp_path, capsys, monkeypatch):
         main(["check", spec])
 
 
-def test_cli_import_leaves_lazy_modules_unloaded():
-    code = (
-        "import sys, dqspec.cli; "
-        "lazy = ['dqspec.corpus', 'dqspec.profiler', 'dqspec.sqlgen', 'concurrent.futures']; "
-        "print([m for m in lazy if m in sys.modules])"
+# the dqspec modules every command loads; then, per command, the ones it
+# adds and whether it loads hashlib (for the checker's spec hash)
+CLI_MODULES = ["cli", "ingest", "lang", "lang.diagnostics", "lang.lexer"]
+SPEC_MODULES = ["lang.ast", "lang.checker", "lang.formatter", "lang.parser", "patterns", "values"]
+COMMAND_MODULES = {
+    "--help": ([], False),
+    "validate-spec": (SPEC_MODULES, True),
+    "profile": (["lang.ast", "lang.formatter", "profiler", "values"], False),
+    "check": (SPEC_MODULES + ["codegen", "engine", "report"], True),
+}
+
+
+def test_cli_import_leaves_lazy_modules_unloaded(tmp_path):
+    spec, data = _write_spec(tmp_path, [["a"], ["x"]])
+    argvs = {
+        "--help": ["--help"],
+        "validate-spec": ["validate-spec", spec],
+        "profile": ["profile", str(data), "--suggest", str(tmp_path / "draft.dq")],
+        "check": ["check", spec],
+    }
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import dqspec.cli
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                dqspec.cli.main(sys.argv[1:])
+            except SystemExit:
+                pass
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "dqspec"))
+        print("hashlib" in sys.modules, "concurrent.futures" in sys.modules)
+        """
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    for command, (extra, hashlib_loaded) in COMMAND_MODULES.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argvs[command]],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        modules = sorted(["dqspec"] + [f"dqspec.{m}" for m in CLI_MODULES + extra])
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout == f"{modules}\n{hashlib_loaded} False\n", command
 
 
 def test_profile_missing_file_exit_3(tmp_path, capsys):
@@ -377,6 +412,17 @@ PLAN_EDITS = {
     ),
     "pair_close with its own column": (
         lambda doc, cols: cols["terms"].update(gen={"kind": "pair_close", "with": "terms"}),
+        "'terms'",
+    ),
+    "ISO pair_close with a words column": (
+        lambda doc, cols: cols["licence_no"].update(gen={"kind": "pair_close", "with": "program"}),
+        "'program'",
+    ),
+    "ISO pair_close with dotted dates": (
+        lambda doc, cols: (
+            cols["terms"]["gen"].update(fmt="DD.MM.YYYY"),
+            cols["licence_no"].update(gen={"kind": "pair_close", "with": "terms"}),
+        ),
         "'terms'",
     ),
 }
@@ -581,6 +627,30 @@ def test_interrupt_during_import_exit_130():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"interrupted\n")
+
+
+def test_interrupt_during_engine_import_exit_130(tmp_path):
+    # a Ctrl-C while `check` imports the engine, after main has started
+    spec, _data = _write_spec(tmp_path, [["a"], ["x"]])
+    code = textwrap.dedent(
+        """
+        import runpy, sys
+
+        class Interrupt:
+            def find_spec(self, name, path=None, target=None):
+                if name == "dqspec.engine":
+                    raise KeyboardInterrupt
+                return None
+
+        sys.meta_path.insert(0, Interrupt())
+        sys.argv = ["dqspec", "check", sys.argv[1]]
+        runpy.run_module("dqspec", run_name="__main__")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, spec], env=child_env(), capture_output=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"interrupted\n")
 
