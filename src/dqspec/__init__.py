@@ -14,32 +14,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "parse_spec",
-    "check_spec",
-    "format_spec",
-    "compile_plan",
-    "run",
-    "finalize_aggregates",
-    "build_lookup_index",
-    "open_dataset",
-    "CheckPlan",
-    "QualityReport",
-    "RuleStat",
-    "ThresholdVerdict",
-    "Violation",
-    "LookupIndex",
-    "ValidatedSpec",
-    "DialectConfig",
-    "DatasetReader",
-    "DataError",
-    "HeaderMissingColumn",
-    "SpecSyntaxError",
-    "SpecValidationError",
-    "SpecEncodingError",
-]
-
 # public name -> the submodule that defines it
 _HOME = {
     name: module
@@ -64,6 +38,8 @@ _HOME = {
     }.items()
     for name in names
 }
+
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

@@ -55,7 +55,7 @@ from itertools import islice, repeat
 from .codegen import Evaluator
 from .ingest import DataError, DatasetReader, DialectConfig, csv_rows, open_dataset
 from .lang import ast
-from .lang.checker import ValidatedSpec
+from .lang.checker import ValidatedSpec, spec_hash
 from .values import ASCII_WS, format_decimal
 
 BLOCK_BYTES = 1 << 20  # bytes per block at jobs > 1; fixed, so blocks never depend on the worker count
@@ -622,7 +622,7 @@ def run(
         (s.name, source_rows[s.name]) for s in vspec.ast.sources if s.name in source_rows
     )
     return QualityReport(
-        spec_hash=vspec.spec_hash,
+        spec_hash=spec_hash(vspec.ast),
         sources=sources,
         rules=tuple(rule_stats),
         invalid_count=invalid_count,

@@ -12,6 +12,7 @@ csv's limit of 131,072 characters) or not UTF-8 raises DataError.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -66,7 +67,6 @@ class DatasetReader:
         self.header: list[str] | None = None
         self.width: int | None = None
         self.data_rows_read = 0
-        self._pending: list[str] | None = None
         try:
             first = next(self._rows)
         except StopIteration:
@@ -84,7 +84,7 @@ class DatasetReader:
                 self.width = len(first)
         elif first is not None:
             # headerless: the first data row fixes the expected width
-            self._pending = first
+            self._rows = itertools.chain((first,), self._rows)
             self.width = len(first)
 
     def resolve(self, column: str | int) -> int:
@@ -113,16 +113,10 @@ class DatasetReader:
         starts; `offset` > 0, so no BOM or header is read there."""
         self._fh.seek(offset)
         self._rows = csv_rows(self._fh, self.dialect)
-        self._pending = None
         self.data_rows_read = ordinal
 
     def __iter__(self):
         ordinal = self.data_rows_read
-        if self._pending is not None:
-            ordinal = 1
-            self.data_rows_read = 1
-            cells, self._pending = self._pending, None
-            yield 1, cells, len(cells) != self.width
         try:
             for cells in self._rows:
                 ordinal += 1

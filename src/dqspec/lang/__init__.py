@@ -4,24 +4,6 @@ Each public name is imported from its submodule on first access."""
 
 import importlib
 
-__all__ = [
-    "ast",
-    "parse_spec",
-    "parse_expression",
-    "check_spec",
-    "spec_hash",
-    "format_spec",
-    "format_expr",
-    "format_field_decl",
-    "ValidatedSpec",
-    "Pos",
-    "NO_POS",
-    "SemanticIssue",
-    "SpecEncodingError",
-    "SpecSyntaxError",
-    "SpecValidationError",
-]
-
 # public name -> the submodule that defines it
 _HOME = {
     name: module
@@ -41,6 +23,8 @@ _HOME = {
     }.items()
     for name in names
 }
+
+__all__ = [*_HOME]
 
 
 def __getattr__(name: str):

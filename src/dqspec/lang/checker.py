@@ -4,7 +4,6 @@ the first."""
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -23,10 +22,12 @@ class ValidatedSpec:
     source_map: dict[str, ast.SourceDecl] = field(compare=False)
     patterns: dict[str, re.Pattern] = field(compare=False)
     date_formats: dict[str, DateFormat] = field(compare=False)
-    spec_hash: str = ""
 
 
 def spec_hash(spec: ast.SpecAst) -> str:
+    """The sha256 of the canonically formatted spec, as a report names it."""
+    import hashlib  # here, so that commands that print no report never load it
+
     return hashlib.sha256(format_spec(spec).encode("utf-8")).hexdigest()
 
 
@@ -123,7 +124,6 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
         source_map=source_map,
         patterns=compiled_patterns,
         date_formats=compiled_formats,
-        spec_hash=spec_hash(spec),
     )
 
 

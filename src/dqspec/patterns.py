@@ -12,6 +12,7 @@ import re
 
 _ESCAPABLE = set(".\\*+?()[]{}|^$-/'\"")
 _CLASS_SHORTHAND = set("dDwWsS")
+_WILDCARD = re.compile(r"(?<!\\)(?:\\\\)*\.")  # a '.' that no backslash escapes
 
 
 def validate_pattern(pattern: str) -> str | None:
@@ -151,3 +152,14 @@ def like_translation(pattern: str) -> tuple[str | None, str | None]:
         emit_literal(ch)
         i += 1
     return "".join(out), None
+
+
+def line_feed_guard(pattern: str) -> str | None:
+    """A LIKE pattern for the cells that `like_translation(pattern)`
+    matches and `re.fullmatch` does not, or None if the pattern has no
+    '.': LIKE's wildcards match a line feed and a regex '.' does not, so
+    such a cell holds more line feeds than the pattern.
+    """
+    if _WILDCARD.search(pattern) is None:
+        return None
+    return "%" + "\n%" * (pattern.count("\n") + 1)

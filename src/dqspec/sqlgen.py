@@ -9,8 +9,10 @@ as the plan keeps it; the spec's AST is not read again.
 Only portable constructs are emitted: no vendor regex functions, no
 dialect-specific casts. A `matches` constraint is emitted as LIKE when
 the pattern has a lossless LIKE translation, otherwise the rule is
-listed as inexpressible with the reason. Type checks are inexpressible
-by construction: a typed store cannot hold an unparseable value.
+listed as inexpressible with the reason; where the pattern has a '.',
+a second LIKE, whose text holds a line feed, keeps a wildcard from
+matching one. Type checks are inexpressible by construction: a typed
+store cannot hold an unparseable value.
 
 Queries assume table columns carry the declared field types, that
 null cells are stored as SQL NULL, and that LIKE compares under a
@@ -124,10 +126,10 @@ def _constraint_rule(rid: str, kind: str, arg, col: str, table: str, tables) -> 
     if kind == "not_null":
         where = f"{col} IS NULL"
     elif kind == "matches":
-        like, reason = pat.like_translation(arg.pattern)
-        if like is None:
-            return SqlRule(rid, kind, None, None, f"pattern '{arg.pattern}': {reason}")
-        where = f"{col} IS NOT NULL AND {col} NOT LIKE {quote_text(like)} ESCAPE '\\'"
+        try:
+            where = f"{col} IS NOT NULL AND {_like_sql(col, arg.pattern, negated=True)}"
+        except _Inexpressible as exc:
+            return SqlRule(rid, kind, None, None, str(exc))
     elif kind == "min":
         where = f"{col} < {_literal_sql(arg)}"
     elif kind == "max":
@@ -170,6 +172,22 @@ def _operand_sql(op, columns: dict[str, str]) -> str:
     return _literal_sql(op.value)
 
 
+def _like_sql(operand: str, pattern: str, negated: bool) -> str:
+    """`operand` fully matches `pattern` (`negated`: does not), as
+    `re.fullmatch` decides; raises _Inexpressible past LIKE's reach. A
+    line feed in a string literal is portable, CHR(10) or CHAR(10) not."""
+    like, reason = pat.like_translation(pattern)
+    if like is None:
+        raise _Inexpressible(f"pattern '{pattern}': {reason}")
+    sql = f"{operand} {'NOT LIKE' if negated else 'LIKE'} {quote_text(like)} ESCAPE '\\'"
+    guard = pat.line_feed_guard(pattern)
+    if guard is None:
+        return sql
+    if negated:
+        return f"({sql} OR {operand} LIKE {quote_text(guard)})"
+    return f"{sql} AND {operand} NOT LIKE {quote_text(guard)}"
+
+
 def _expr_sql(e, columns: dict[str, str]) -> str:
     if isinstance(e, ast.Cmp):
         op = "<>" if e.op == "!=" else e.op
@@ -178,10 +196,7 @@ def _expr_sql(e, columns: dict[str, str]) -> str:
         test = "IS NOT NULL" if e.negated else "IS NULL"
         return f"{_operand_sql(e.operand, columns)} {test}"
     if isinstance(e, ast.MatchTest):
-        like, reason = pat.like_translation(e.pattern)
-        if like is None:
-            raise _Inexpressible(f"pattern '{e.pattern}': {reason}")
-        return f"{_operand_sql(e.operand, columns)} LIKE {quote_text(like)} ESCAPE '\\'"
+        return _like_sql(_operand_sql(e.operand, columns), e.pattern, negated=False)
     if isinstance(e, ast.And):
         return " AND ".join(f"({_expr_sql(i, columns)})" for i in e.items)
     if isinstance(e, ast.Or):

@@ -270,23 +270,29 @@ def test_engine_bug_is_not_an_exit_code(tmp_path, capsys, monkeypatch):
 
 
 # the dqspec modules every command loads; then, per command, the ones it
-# adds and whether it loads hashlib (for the checker's spec hash)
+# adds and whether it loads hashlib (for the report's spec hash)
 CLI_MODULES = ["cli", "ingest", "lang", "lang.diagnostics", "lang.lexer"]
 SPEC_MODULES = ["lang.ast", "lang.checker", "lang.formatter", "lang.parser", "patterns", "values"]
 COMMAND_MODULES = {
     "--help": ([], False),
-    "validate-spec": (SPEC_MODULES, True),
+    "validate-spec": (SPEC_MODULES, False),
     "profile": (["lang.ast", "lang.formatter", "profiler", "values"], False),
+    "emit-sql": (SPEC_MODULES + ["codegen", "engine", "sqlgen"], False),
+    "gen": (SPEC_MODULES + ["corpus"], False),
     "check": (SPEC_MODULES + ["codegen", "engine", "report"], True),
 }
 
 
 def test_cli_import_leaves_lazy_modules_unloaded(tmp_path):
     spec, data = _write_spec(tmp_path, [["a"], ["x"]])
+    plan = tmp_path / "plan.json"
+    plan.write_text(_plan_text(lambda doc, cols: None), encoding="utf-8")
     argvs = {
         "--help": ["--help"],
         "validate-spec": ["validate-spec", spec],
         "profile": ["profile", str(data), "--suggest", str(tmp_path / "draft.dq")],
+        "emit-sql": ["emit-sql", spec],
+        "gen": ["gen", str(plan), "--out", str(tmp_path / "gen")],
         "check": ["check", spec],
     }
     code = textwrap.dedent(
@@ -296,10 +302,10 @@ def test_cli_import_leaves_lazy_modules_unloaded(tmp_path):
 
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                dqspec.cli.main(sys.argv[1:])
-            except SystemExit:
-                pass
-        print(sorted(m for m in sys.modules if m.partition(".")[0] == "dqspec"))
+                code = dqspec.cli.main(sys.argv[1:])
+            except SystemExit as exc:
+                code = exc.code
+        print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "dqspec"))
         print("hashlib" in sys.modules, "concurrent.futures" in sys.modules)
         """
     )
@@ -313,7 +319,7 @@ def test_cli_import_leaves_lazy_modules_unloaded(tmp_path):
         )
         modules = sorted(["dqspec"] + [f"dqspec.{m}" for m in CLI_MODULES + extra])
         assert (proc.returncode, proc.stderr) == (0, ""), command
-        assert proc.stdout == f"{modules}\n{hashlib_loaded} False\n", command
+        assert proc.stdout == f"0 {modules}\n{hashlib_loaded} False\n", command
 
 
 def test_profile_missing_file_exit_3(tmp_path, capsys):

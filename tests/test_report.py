@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import io
 import random
 import tempfile
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from dqspec import engine, report
 from dqspec.engine import QualityReport, RuleStat, ThresholdVerdict, Violation
+from dqspec.lang import format_spec, parse_spec, spec_hash
 from dqspec.report import FLAGGED_HEADER
-from helpers import load_plan, write_csv
+from helpers import load_plan, main_captured, write_csv
 
 
 def _report(rules=(), thresholds=(), invalid=(0, 0), sources=(("register", 396952),), flagged=None):
@@ -28,6 +30,27 @@ def _report(rules=(), thresholds=(), invalid=(0, 0), sources=(("register", 39695
         thresholds=tuple(thresholds),
         flagged=flagged,
     )
+
+
+def test_report_names_the_sha256_of_the_formatted_spec(tmp_path, small_register_corpus):
+    """`check`'s report carries the sha256 of the canonically formatted
+    spec, at any --jobs."""
+    _plan, result = small_register_corpus
+    write_csv(tmp_path / "d.csv", [["a"], ["x"], [""]])
+    own = tmp_path / "s.dq"
+    own.write_text(
+        "spec s { source d { path 'd.csv'; } object d from d { field a text not null; }"
+        " threshold cap: d.a.not_null <= 10%; }",
+        encoding="utf-8",
+    )
+    for path in (own, result.spec_path):
+        spec = parse_spec(path.read_text(encoding="utf-8"))
+        want = hashlib.sha256(format_spec(spec).encode("utf-8")).hexdigest()
+        assert spec_hash(spec) == want
+        for jobs in ("1", "2"):
+            code, out, err = main_captured(["check", str(path), "--report", "json", "--jobs", jobs])
+            assert code in (0, 1) and err == "", err
+            assert report.parse_report(out).spec_hash == want, (path.name, jobs)
 
 
 def test_json_rate_fields_unreduced():

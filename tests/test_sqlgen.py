@@ -19,7 +19,7 @@ import pytest
 from dqspec import corpus, engine, sqlgen
 from dqspec.lang import ast, check_spec, parse_spec
 from dqspec.lang.diagnostics import SpecValidationError
-from dqspec.patterns import like_translation
+from dqspec.patterns import like_translation, line_feed_guard
 from dqspec.sqlgen import quote_ident
 from dqspec.values import ASCII_WS
 from helpers import load_plan, write_csv
@@ -126,6 +126,37 @@ def test_like_translation_lossless_cases():
     assert like_translation("a_b") == ("a\\_b", None)
 
 
+def test_line_feed_guard_counts_the_pattern_line_feeds():
+    assert line_feed_guard("RU-....") == "%\n%"
+    assert line_feed_guard("a\n.*\n") == "%\n%\n%\n%"
+    for literal in ("ab", "^ab$", "100\\.5", "a\\\\\\.b", "a\nb"):
+        assert line_feed_guard(literal) is None, literal
+    assert line_feed_guard("a\\\\.b") == "%\n%"  # an escaped backslash, then a wildcard
+
+
+def test_matches_query_counts_line_feeds_as_the_engine_does(tmp_path):
+    """A regex '.' matches no line feed, and a literal one in the pattern
+    matches itself; LIKE's wildcards match any character."""
+    text = """
+    spec s { source t { path 't.csv'; }
+      object t from t {
+        field a text matches 'x.*';
+        field b text matches 'a\\n.+';
+        field c text matches 'x\\ny';
+        rule r: a matches 'x.';
+      } }
+    """
+    cells = ["x", "xy", "x\ny", "a\nb", "a\nb\nc", "a\n\nb", "a\nbc"]
+    rows = [["a", "b", "c"]] + [[v, v, v] for v in cells]
+    p = write_csv(tmp_path / "t.csv", rows)
+    plan = _plan(text)
+    rep = engine.run(plan, {"t": p})
+    con = sqlite_with({"t": p})
+    for rule in sqlgen.emit_sql(plan, {"t": "t"}).expressible():
+        assert con.execute(rule.count_sql).fetchone()[0] == rep.rule(rule.rule_id).count, rule.rule_id
+    assert [rep.rule(f"t.{r}").count for r in ("a.matches", "b.matches", "c.matches", "r")] == [5, 5, 6, 6]
+
+
 def test_like_translation_inexpressible_reasons():
     for pat in ("[0-9]{4}", "ab|cd", "(ab)+", "a?", "\\d+"):
         like, reason = like_translation(pat)
@@ -171,7 +202,7 @@ def test_sql_counts_match_engine_on_small_register(small_register_corpus):
 
 
 # sha256 of the rendered suites of _pinned_specs(), each followed by a NUL
-SUITE_BYTES_SHA256 = "3adb9b87efc4537ac2f4ae18ae9805a031e15b5f102368d4774d3f5f08e04f64"
+SUITE_BYTES_SHA256 = "7eaacce767adbaef3e4a94fc183e088d99e7f160a82c7175be54bf8ce16883b7"
 
 
 def _pinned_specs():
@@ -209,8 +240,13 @@ _CASE_POOL = ("X y", "x Y", "AxB", "axb", "ABC", "Abc", "lv-1010", "Lv-1010", "R
 _SQL_TYPES = {ast.IntegerType: "INTEGER", ast.DecimalType: "REAL"}
 
 
-def _with_case_variants(rng, spec, rows):
-    """`rows` with some text and enum cells replaced by case variants."""
+# text that a pattern's LIKE matches only with a wildcard on a line feed
+_LINE_FEED_POOL = ("x\ny", "A\nB", "RU-1\n34", "a\nb")
+
+
+def _with_variants(rng, spec, rows):
+    """`rows` with some text and enum cells replaced by case variants or
+    by text holding a line feed."""
     header, data = rows[0], rows[1:]
     texty = [
         header.index(f.name)
@@ -221,7 +257,9 @@ def _with_case_variants(rng, spec, rows):
         for j in texty:
             if j < len(row) and rng.random() < 0.2:
                 cell = row[j]
-                row[j] = rng.choice((cell.upper(), cell.lower(), cell.swapcase(), rng.choice(_CASE_POOL)))
+                row[j] = rng.choice(
+                    (cell.upper(), cell.lower(), cell.swapcase(), rng.choice(_CASE_POOL), rng.choice(_LINE_FEED_POOL))
+                )
     return [header] + data
 
 
@@ -278,7 +316,7 @@ def test_sql_counts_match_engine_on_random_specs(tmp_path):
         rng = random.Random(60000 + seed)
         spec = rand_executable_spec(rng)
         data = rand_dataset(rng, spec)
-        data["main"] = _with_case_variants(rng, spec, data["main"])
+        data["main"] = _with_variants(rng, spec, data["main"])
         base = tmp_path / str(seed)
         base.mkdir()
         paths = {name: write_csv(base / f"{name}.csv", rows) for name, rows in data.items()}
