@@ -21,8 +21,8 @@ source holds nothing but identifiers, operators and integer emitter
 indexes, so the same plan always gives the same text, whatever its
 literals contain.
 
-Date parses are memoised per field in a dict of at most MEMO_CAP
-entries; once full, a memo stops taking new texts.
+Each cell is parsed where it is read, with no memo of earlier texts:
+`parse_int` and `parse_date_text` hand their work to C (`values`).
 """
 
 from __future__ import annotations
@@ -33,29 +33,17 @@ from operator import itemgetter
 from .lang import ast
 from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int
 
-MEMO_CAP = 16_384  # distinct texts remembered per date field
-
-_MISS = object()
-
 # names the factory receives, in order; apart from builtins the generated
 # code uses no others
-_FACTORY_ARGS = (
-    "K", "D", "S", "PICK", "MISS", "CAP", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int",
-)
+_FACTORY_ARGS = ("K", "S", "PICK", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int")
 
 _CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 # typed parse, by AST type, of the field types whose value is not their text
 _PARSERS = {
-    ast.IntegerType: ("v{i} = parse_int(t)",),
-    ast.DecimalType: ("v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",),
-    ast.DateType: (
-        "v{i} = g{i}(t, MISS)",
-        "if v{i} is MISS:",
-        "    v{i} = parse_date_text(t, {fmt})",
-        "    if len(d{i}) < CAP:",
-        "        d{i}[t] = v{i}",
-    ),
+    ast.IntegerType: "v{i} = parse_int(t)",
+    ast.DecimalType: "v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",
+    ast.DateType: "v{i} = parse_date_text(t, {fmt})",
 }
 
 
@@ -182,11 +170,8 @@ def _field(src: _Source, i: int, fs, kept: bool, nulls: str, vspec, indexes) -> 
     type_viol = f"viols.append(({fs.type_eidx}, {raw}))"
     ftype = fs.ftype
     if type(ftype) in _PARSERS:
-        fmt = ""
-        if isinstance(ftype, ast.DateType):
-            fmt = src.const(vspec.date_formats[ftype.fmt])
-        present = [line.format(i=i, fmt=fmt) for line in _PARSERS[type(ftype)]]
-        present += [f"if v{i} is None:", "    " + type_viol]
+        fmt = src.const(vspec.date_formats[ftype.fmt]) if isinstance(ftype, ast.DateType) else ""
+        present = [_PARSERS[type(ftype)].format(i=i, fmt=fmt), f"if v{i} is None:", "    " + type_viol]
         checks = _checks(src, fs, f"v{i}", raw, indexes)
         if checks:
             present += ["else:"] + _indent(checks)
@@ -221,7 +206,6 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
         rules.append(f"if {code} is not True:" if nullable else f"if not {code}:")
         rules.append(f"    viols.append(({eidx}, ''))")
     nulls = src.const(vspec.source_map[oplan.source].null_tokens)
-    memoised = [i for i, fs in enumerate(fields) if isinstance(fs.ftype, ast.DateType)]
 
     body = ["viols = []"]
     raws = [f"r{i}" for i in range(len(fields))]
@@ -233,8 +217,6 @@ def generate_source(oplan, vspec, indexes) -> tuple[str, list]:
     body.append("return viols")
 
     lines = [f"def _bind({', '.join(_FACTORY_ARGS)}):"]
-    for n, i in enumerate(memoised):
-        lines += [f"    d{i} = D[{n}]", f"    g{i} = d{i}.get"]
     lines += [f"    s{eidx} = S[{eidx}]" for eidx in src.seen]
     lines += ["    def evaluate(cells):"] + _indent(_indent(body)) + ["    return evaluate"]
     return "\n".join(lines) + "\n", src.consts
@@ -245,18 +227,16 @@ class Evaluator:
     the lookup indexes of one run. `seen` maps the emitter index of each
     `unique` constraint to its seen table."""
 
-    __slots__ = ("source", "constants", "memos", "seen", "evaluate")
+    __slots__ = ("source", "constants", "seen", "evaluate")
 
     def __init__(self, oplan, vspec, colmap: list[int], indexes):
         self.source, constants = generate_source(oplan, vspec, indexes)
         self.constants = tuple(constants)
-        self.memos = [{} for fs in oplan.fields if isinstance(fs.ftype, ast.DateType)]
         uniques = (eidx for fs in oplan.fields for kind, eidx, _a in fs.constraints if kind == "unique")
         self.seen = {eidx: {} for eidx in uniques}
         pick = itemgetter(*colmap) if colmap else None
         namespace: dict = {}
         exec(compile(self.source, f"<dqspec evaluator {oplan.name}>", "exec"), namespace)
         self.evaluate = namespace["_bind"](
-            self.constants, self.memos, self.seen, pick, _MISS, MEMO_CAP, ASCII_WS,
-            DEC_RE, Decimal, parse_date_text, parse_int,
+            self.constants, self.seen, pick, ASCII_WS, DEC_RE, Decimal, parse_date_text, parse_int
         )

@@ -11,6 +11,7 @@ csv's limit of 131,072 characters) or not UTF-8 raises DataError.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import os
@@ -72,8 +73,9 @@ class DatasetReader:
         except StopIteration:
             first = None
         except UnicodeDecodeError as exc:
+            err = self._not_utf8(exc)
             self.close()
-            raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+            raise err from None
         except csv.Error as exc:
             self.close()
             where = "the header" if dialect.has_header else "record 1"
@@ -123,13 +125,28 @@ class DatasetReader:
                 self.data_rows_read = ordinal
                 yield ordinal, cells, len(cells) != self.width
         except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{self.path}: not valid UTF-8 near record {ordinal + 1}: {exc}"
-            ) from None
+            raise self._not_utf8(exc) from None
         except csv.Error as exc:
             raise DataError(
                 f"{self.path}: malformed CSV in record {ordinal + 1}: {exc}"
             ) from None
+
+    def _not_utf8(self, exc: UnicodeDecodeError) -> DataError:
+        """A codec counts its position from the start of its buffer, so
+        the file is decoded again from its start, a block at a time, to
+        name its first bad byte wherever the failed read began."""
+        why, decoder, done = exc, codecs.getincrementaldecoder("utf-8")(), 0
+        try:
+            self._fh.buffer.seek(0)
+            while block := self._fh.buffer.read(1 << 20):
+                decoder.decode(block)
+                done += len(block)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as bad:  # bad.object: held-back bytes, then the block
+            why = f"{bad.reason} at byte offset {done - len(decoder.getstate()[0]) + bad.start}"
+        except OSError:  # a pipe cannot seek
+            pass
+        return DataError(f"{self.path}: not valid UTF-8: {why}")
 
     def close(self):
         self._fh.close()

@@ -11,6 +11,9 @@ or does not belong to its declared type, which is a type violation.
 
 Trimming strips ASCII whitespace only; null-token matching and parsing
 see the trimmed text, while violations report the raw untrimmed cell.
+Digits are ASCII digits. `int()` and `date.fromisoformat` do the
+parsing in C, each behind a guard of the grammar's exact shape, since
+both accept texts that the grammar does not.
 """
 
 from __future__ import annotations
@@ -84,37 +87,34 @@ def compile_date_format(spec: str) -> DateFormat:
     return DateFormat(spec, pos, y_off, m_off, d_off, tuple(literals))
 
 
-_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def days_in_month(y: int, m: int) -> int:
-    if m == 2 and (y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)):
-        return 29
-    return _DAYS_IN_MONTH[m]
-
-
 def parse_date_text(t: str, df: DateFormat) -> date | None:
-    """Parse trimmed text against a compiled format; None on mismatch."""
-    if len(t) != df.length:
+    """Parse trimmed text against a compiled format; None on mismatch.
+    fromisoformat also takes `2018-W01-1` and `20180101`, so it sees only
+    ASCII texts of the shape YYYY-MM-DD: other formats check their
+    literals and rebuild that shape from their three slices."""
+    if len(t) != df.length or not t.isascii():
         return None
-    for off, ch in df.literals:
-        if t[off] != ch:
+    if df.spec == "YYYY-MM-DD":
+        if t[4] != "-" or t[7] != "-":
             return None
-    ys = t[df.y_off : df.y_off + 4]
-    ms = t[df.m_off : df.m_off + 2]
-    ds = t[df.d_off : df.d_off + 2]
-    if not (ys.isascii() and ys.isdigit() and ms.isascii() and ms.isdigit() and ds.isascii() and ds.isdigit()):
+    else:
+        for off, ch in df.literals:
+            if t[off] != ch:
+                return None
+        y, m, d = df.y_off, df.m_off, df.d_off
+        t = f"{t[y : y + 4]}-{t[m : m + 2]}-{t[d : d + 2]}"
+    try:
+        return date.fromisoformat(t)
+    except ValueError:  # no such day, or year 0
         return None
-    y, m, d = int(ys), int(ms), int(ds)
-    if y < 1 or m < 1 or m > 12 or d < 1 or d > days_in_month(y, m):
-        return None
-    return date(y, m, d)
 
 
 def parse_int(t: str) -> int | None:
     """The signed 64-bit integer that `t` spells, or None. int() sees the
     sign and at most 19 digits, never a text past CPython's limit on the
-    length of an integer string (4,300 digits)."""
+    length of an integer string (4,300 digits); 18 ASCII digits fit."""
+    if len(t) < 19 and t.isdigit() and t.isascii():
+        return int(t)
     m = INT_RE.fullmatch(t)
     if m is None:
         return None

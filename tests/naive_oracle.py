@@ -79,15 +79,15 @@ def _fmt_regex(fmt: str) -> tuple[re.Pattern, list[str]]:
     i = 0
     while i < len(fmt):
         if fmt.startswith("YYYY", i):
-            parts.append(r"(\d{4})")
+            parts.append(r"([0-9]{4})")
             order.append("y")
             i += 4
         elif fmt.startswith("MM", i):
-            parts.append(r"(\d{2})")
+            parts.append(r"([0-9]{2})")
             order.append("m")
             i += 2
         elif fmt.startswith("DD", i):
-            parts.append(r"(\d{2})")
+            parts.append(r"([0-9]{2})")
             order.append("d")
             i += 2
         else:

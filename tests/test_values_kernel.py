@@ -1,20 +1,23 @@
 """The cell grammar: the primitives in `dqspec.values` that the generated
-evaluator and the profiler call (`parse_int`, `DEC_RE`, `parse_date_text`)
-and, through `engine.run` checked against the independent oracle,
-trimming, null tokens and enum membership."""
+evaluator and the profiler call (`parse_int`, `DEC_RE`, `parse_date_text`),
+the C-level parses differentially against the oracle and the pure-Python
+parses they replaced, and, through `engine.run` checked against the
+independent oracle, trimming, null tokens and enum membership."""
 
-from datetime import date
+import random
+import re
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqspec import engine, values
+from dqspec import engine, profiler, values
 from dqspec.lang import check_spec, parse_spec
 from dqspec.values import ASCII_WS, DEC_RE, compile_date_format, parse_date_text, parse_int
 from helpers import write_csv
-from naive_oracle import naive_evaluate
+from naive_oracle import _parse_date, _parse_int, naive_evaluate
 
 ISO = compile_date_format("YYYY-MM-DD")
 DMY = compile_date_format("DD.MM.YYYY")
@@ -91,6 +94,14 @@ def test_date_validation():
     assert parse_date_text("0000-01-01", ISO) is None
     assert parse_date_text("29.02.2020", DMY) == date(2020, 2, 29)
     assert parse_date_text("2020-02-29", DMY) is None
+    for t in ("2018-W01-1", "20180101", "2018W011"):  # date.fromisoformat takes these
+        assert parse_date_text(t, ISO) is None, t
+    for t in ("+018-01-01", "2018-01-01T", "1900-02-29", "\u0662\u0660\u0661\u0668-\u0660\u0661-\u0660\u0661"):
+        assert parse_date_text(t, ISO) is None, t
+    assert parse_date_text("20180101", compile_date_format("YYYYMMDD")) == date(2018, 1, 1)
+    assert parse_date_text("2000-02-29", ISO) == date(2000, 2, 29)
+    assert parse_date_text("9999-12-31", ISO) == date(9999, 12, 31)
+    assert parse_date_text("0001-01-01", ISO) == date(1, 1, 1)
 
 
 def test_enum_membership(tmp_path):
@@ -127,3 +138,120 @@ def test_date_format_compile_errors():
     for bad in ("YYYY-MM", "YYYY-MM-DD-DD", "YYMMDD", "YYYY.MY.DD"):
         with pytest.raises(ValueError):
             values.compile_date_format(bad)
+
+
+# the pure-Python parses that `int()` and `date.fromisoformat` replaced,
+# kept as references for the differential tests below
+_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _days_in_month(y: int, m: int) -> int:
+    if m == 2 and (y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)):
+        return 29
+    return _DAYS_IN_MONTH[m]
+
+
+def _python_date(t: str, df) -> date | None:
+    if len(t) != df.length:
+        return None
+    for off, ch in df.literals:
+        if t[off] != ch:
+            return None
+    ys = t[df.y_off : df.y_off + 4]
+    ms = t[df.m_off : df.m_off + 2]
+    ds = t[df.d_off : df.d_off + 2]
+    if not (ys.isascii() and ys.isdigit() and ms.isascii() and ms.isdigit() and ds.isascii() and ds.isdigit()):
+        return None
+    y, m, d = int(ys), int(ms), int(ds)
+    if y < 1 or m < 1 or m > 12 or d < 1 or d > _days_in_month(y, m):
+        return None
+    return date(y, m, d)
+
+
+_INT_RE = re.compile(r"([+-]?)0*([0-9]{1,19})")
+
+
+def _python_int(t: str) -> int | None:
+    m = _INT_RE.fullmatch(t)
+    if m is None:
+        return None
+    v = int(m[1] + m[2])
+    return v if values.INT64_MIN <= v <= values.INT64_MAX else None
+
+
+DATE_FORMATS = profiler.DATE_PRESETS + ("YYYYMMDD",)
+# characters a near-valid text is edited with: separators, ISO 8601's
+# week and time marks, signs, non-ASCII digits and a lone surrogate
+NEAR = "0123456789-./ WT+:Z\x00\u0661\u0669\uff10\uff19\u00b2\ud800"
+
+
+def _render(fmt: str, y: int, m: int, d: int) -> str:
+    return fmt.replace("YYYY", f"{y:04d}").replace("MM", f"{m:02d}").replace("DD", f"{d:02d}")
+
+
+def _date_texts(rng: random.Random, fmt: str, n: int):
+    """Valid dates, texts with one to three edits, and random texts of
+    the format's length, then the calendar's edges."""
+    for _ in range(n):
+        day = date(1, 1, 1) + timedelta(days=rng.randrange(3_652_059))
+        t = _render(fmt, day.year, day.month, day.day)
+        yield t
+        chars = list(t)
+        for _edit in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and at < len(chars):
+                chars[at] = rng.choice(NEAR)
+            elif op == 1 and at < len(chars):
+                del chars[at]
+            else:
+                chars.insert(at, rng.choice(NEAR))
+        yield "".join(chars)
+        yield "".join(rng.choices(NEAR, k=len(t)))
+    # month and day 0 to 32 in leap and common years, and in year 0
+    for y in (0, 1, 4, 100, 400, 1900, 2000, 2023, 2024, 9999):
+        for m in range(14):
+            for d in range(33):
+                yield _render(fmt, y, m, d)
+
+
+DATE_CASES = [
+    "2018-W01-1", "20180101", "2018W011", "0000-01-01", "1900-02-29", "2000-02-29",
+    "9999-12-31", "+018-01-01", "2018-01-01T", "2018-01-0T", "2018-01-01T00",
+    "\u0662\u0660\u0661\u0668-\u0660\u0661-\u0660\u0661",  # Arabic-Indic digits
+    "\uff12\uff10\uff11\uff18-\uff10\uff11-\uff10\uff11",  # full-width digits
+    "2018-01-0\ud800", "2018\ud800101", "01.01.201\ud800", "2018-1-01", " 2018-01-01",
+    "01.01.2018", "29.02.1900", "29/02/2000", "31/12/9999", "00000101", "19000229",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_date_parse_matches_the_oracle_and_the_python_parse(seed):
+    rng = random.Random(seed)
+    for fmt in DATE_FORMATS:
+        df = compile_date_format(fmt)
+        for t in [*DATE_CASES, *_date_texts(rng, fmt, 3_000)]:
+            got = parse_date_text(t, df)
+            assert got == _python_date(t, df) == _parse_date(t, fmt), (t, fmt)
+            assert got is None or type(got) is date
+
+
+INT_CASES = [
+    "007", "+7", "-0", "0", "1" * 18, "9" * 18, "1" * 19, "9" * 19, "1" * 20, "0" * 20 + "7",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+    "\u00b2", "\u0661\u0662", "\uff17", "1_000", " 7", "7 ", "", "+", "-", "--7", "0x1f", "\ud800",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_integer_parse_matches_the_oracle_and_the_pattern(seed):
+    rng = random.Random(seed)
+    alphabet = "0000123456789+- _\u00b2\u0661\uff17"
+    texts = [*INT_CASES]
+    for _ in range(20_000):
+        texts.append("".join(rng.choices(alphabet, k=rng.randrange(23))))
+        texts.append(str(rng.randrange(-(2**64), 2**64)).rjust(rng.randrange(22), "0"))
+    for t in texts:
+        got = parse_int(t)
+        assert got == _python_int(t) == _parse_int(t), t
+        assert got is None or type(got) is int
