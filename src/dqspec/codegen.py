@@ -27,22 +27,21 @@ Each cell is parsed where it is read, with no memo of earlier texts:
 
 from __future__ import annotations
 
-from decimal import Decimal
 from operator import itemgetter
 
 from .lang import ast
-from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int
+from .values import ASCII_WS, parse_date_text, parse_decimal, parse_int
 
 # names the factory receives, in order; apart from builtins the generated
 # code uses no others
-_FACTORY_ARGS = ("K", "S", "PICK", "WS", "DEC_RE", "Decimal", "parse_date_text", "parse_int")
+_FACTORY_ARGS = ("K", "S", "PICK", "WS", "parse_date_text", "parse_decimal", "parse_int")
 
 _CMP_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 # typed parse, by AST type, of the field types whose value is not their text
 _PARSERS = {
     ast.IntegerType: "v{i} = parse_int(t)",
-    ast.DecimalType: "v{i} = Decimal(t) if DEC_RE.fullmatch(t) is not None else None",
+    ast.DecimalType: "v{i} = parse_decimal(t)",
     ast.DateType: "v{i} = parse_date_text(t, {fmt})",
 }
 
@@ -238,5 +237,5 @@ class Evaluator:
         namespace: dict = {}
         exec(compile(self.source, f"<dqspec evaluator {oplan.name}>", "exec"), namespace)
         self.evaluate = namespace["_bind"](
-            self.constants, self.seen, pick, ASCII_WS, DEC_RE, Decimal, parse_date_text, parse_int
+            self.constants, self.seen, pick, ASCII_WS, parse_date_text, parse_decimal, parse_int
         )

@@ -35,6 +35,7 @@ from operator import add
 from pathlib import Path
 
 from .lang import ast, check_spec, format_spec, parse_expression
+from .values import ISO_DATE, compile_date_format, date_writer, parse_date_text, parse_decimal, parse_int
 
 
 class InfeasiblePlan(Exception):
@@ -144,13 +145,13 @@ def plan_from_json(data: bytes | str) -> CorpusPlan:
         raise ValueError("a plan must be a JSON object")
     return CorpusPlan(
         name=doc["name"],
-        seed=doc["seed"],
+        seed=_plan_value(doc["seed"]),
         object_dataset=doc["object_dataset"],
         datasets=tuple(
             DatasetPlan(
                 name=d["name"],
                 filename=d["filename"],
-                records=d["records"],
+                records=_plan_value(d["records"]),
                 columns=tuple(
                     ColumnPlan(name=c["name"], gen=c["gen"], field=c.get("field"))
                     for c in d["columns"]
@@ -161,13 +162,22 @@ def plan_from_json(data: bytes | str) -> CorpusPlan:
         record_rules=tuple(doc.get("record_rules", ())),
         thresholds=tuple(doc.get("thresholds", ())),
         injections=tuple(
-            Injection(rule=i.get("rule"), count=i["count"], recipe=i["recipe"])
+            Injection(rule=i.get("rule"), count=_plan_value(i["count"]), recipe=i["recipe"])
             for i in doc.get("injections", ())
         ),
     )
 
 
 # ------------------------------------------------------------ reference spec
+
+# literal kind -> (its cell-grammar parse, its name in errors); a min or max
+# constraint takes the first kind it names
+_PLAN_PARSERS = {
+    "int": (parse_int, "an integer"),
+    "decimal": (parse_decimal, "a decimal"),
+    "date": (lambda t: parse_date_text(t, ISO_DATE), "a date 'YYYY-MM-DD'"),
+}
+
 
 def _field_type_from_dict(fd: dict) -> ast.FieldType:
     t = fd["type"]
@@ -192,19 +202,13 @@ def _constraint_from_dict(cd: dict) -> ast.FieldConstraint:
     if kind == "matches":
         return ast.FieldConstraint(kind, cd["pattern"], severity)
     if kind in ("minlen", "maxlen"):
-        return ast.FieldConstraint(kind, int(cd["n"]), severity)
+        return ast.FieldConstraint(kind, _plan_value(cd["n"]), severity)
     if kind in ("min", "max"):
-        if "int" in cd:
-            lit = ast.Lit("int", int(cd["int"]))
-        elif "decimal" in cd:
-            from decimal import Decimal
-
-            lit = ast.Lit("decimal", Decimal(cd["decimal"]))
-        elif "date" in cd:
-            lit = ast.Lit("date", date.fromisoformat(cd["date"]))
-        else:
-            raise ValueError(f"{kind} constraint needs int, decimal or date")
-        return ast.FieldConstraint(kind, lit, severity)
+        for lit_kind in _PLAN_PARSERS:
+            if lit_kind in cd:
+                lit = ast.Lit(lit_kind, _plan_value(cd[lit_kind], lit_kind))
+                return ast.FieldConstraint(kind, lit, severity)
+        raise ValueError(f"{kind} constraint needs int, decimal or date")
     if kind == "in":
         return ast.FieldConstraint("in_reference", (cd["source"], cd["column"]), severity)
     raise ValueError(f"unknown constraint kind {kind!r}")
@@ -243,7 +247,7 @@ def reference_spec(plan: CorpusPlan) -> ast.SpecAst:
             name=t["name"],
             target=t["target"],
             comparator=t.get("comparator", "<="),
-            limit_pct=_dec(t["limit"]),
+            limit_pct=_plan_value(t["limit"], "decimal"),
         )
         for t in plan.thresholds
     )
@@ -255,10 +259,14 @@ def reference_spec(plan: CorpusPlan) -> ast.SpecAst:
     )
 
 
-def _dec(v):
-    from decimal import Decimal
-
-    return Decimal(str(v))
+def _plan_value(v, kind: str = "int"):
+    """The value of literal kind `kind` that `str(v)` spells in the cell
+    grammar, as in a cell or a spec; ValueError for any other plan value."""
+    parse, what = _PLAN_PARSERS[kind]
+    x = parse(str(v))
+    if x is None:
+        raise ValueError(f"{v!r} is not {what}")
+    return x
 
 
 # ------------------------------------------------------------ value generators
@@ -296,26 +304,6 @@ def _uniform_ints(lo: int, hi: int):
 
 def _word_column(rng: random.Random, count: int, heads: tuple[str, ...]) -> list[str]:
     return list(map(add, rng.choices(heads, k=count), rng.choices(_TAILS, k=count)))
-
-
-def _literal(text: str) -> str:
-    """`text` as a literal part of a str.format string."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
-def _date_formatter(fmt: str):
-    """date -> `fmt` with YYYY, MM and DD replaced, in that order."""
-    if fmt == "YYYY-MM-DD":
-        # The same text as the general path at a third of its cost; without
-        # it the full register_plan() takes about 2 s longer (BENCH_18.json).
-        return date.isoformat
-    return (
-        _literal(fmt)
-        .replace("YYYY", "{0.year:04d}")
-        .replace("MM", "{0.month:02d}")
-        .replace("DD", "{0.day:02d}")
-        .format
-    )
 
 
 @cache
@@ -358,14 +346,15 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
     could not make a value, so a plan fails before any file is written."""
     kind = gen["kind"]
     if kind == "seq":
-        start = int(gen.get("start", 1)) - 1
-        width = int(gen.get("width", 0))
+        start = _plan_value(gen.get("start", 1)) - 1
+        width = _plan_value(gen.get("width", 0))
         if width < 0:
             raise ValueError(f"generator 'seq' needs width >= 0, got {width}")
-        fill = (_literal(str(gen.get("prefix", ""))) + f"{{:0{width}d}}").format
+        prefix = str(gen.get("prefix", "")).replace("{", "{{").replace("}", "}}")  # literal in str.format
+        fill = (prefix + f"{{:0{width}d}}").format
         return lambda rng, first, count, cols: list(map(fill, range(start + first, start + first + count)))
     if kind == "digits":
-        n = int(gen["n"])
+        n = _plan_value(gen["n"])
         if n < 1:
             raise ValueError(f"generator 'digits' needs n >= 1, got {n}")
         draw = _uniform_ints(10 ** (n - 1), 10**n - 1)
@@ -373,17 +362,17 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
     if kind == "template":
         return _template_gen(gen["t"])
     if kind == "int":
-        lo, hi = int(gen["lo"]), int(gen["hi"])
+        lo, hi = _plan_value(gen["lo"]), _plan_value(gen["hi"])
         _check_range(kind, lo, hi, gen)
         draw = _uniform_ints(lo, hi)
         return lambda rng, first, count, cols: list(map(str, draw(rng, count)))
     if kind == "dec":
-        scale = int(gen.get("scale", 2))
+        scale = _plan_value(gen.get("scale", 2))
         if scale < 0:
             raise ValueError(f"generator 'dec' needs scale >= 0, got {scale}")
         mul = 10**scale
-        lo = int(round(float(gen["lo"]) * mul))
-        hi = int(round(float(gen["hi"]) * mul))
+        lo = int(round(float(_plan_value(gen["lo"], "decimal")) * mul))
+        hi = int(round(float(_plan_value(gen["hi"], "decimal")) * mul))
         _check_range(kind, lo, hi, gen)
         draw = _uniform_ints(lo, hi)
 
@@ -396,9 +385,9 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
 
         return dec_fn
     if kind == "date":
-        text = _date_formatter(gen.get("fmt", "YYYY-MM-DD"))
-        lo_ord = date.fromisoformat(gen["lo"]).toordinal()
-        hi_ord = date.fromisoformat(gen["hi"]).toordinal()
+        text = date_writer(compile_date_format(gen.get("fmt", "YYYY-MM-DD")))
+        lo_ord = _plan_value(gen["lo"], "date").toordinal()
+        hi_ord = _plan_value(gen["hi"], "date").toordinal()
         _check_range(kind, lo_ord, hi_ord, gen)
         days = range(lo_ord, hi_ord + 1)
         return lambda rng, first, count, cols: list(map(text, map(date.fromordinal, rng.choices(days, k=count))))
@@ -415,8 +404,8 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
 
         return cycle_fn
     if kind == "words":
-        lo = int(gen.get("min", 1))
-        hi = int(gen.get("max", 3))
+        lo = _plan_value(gen.get("min", 1))
+        hi = _plan_value(gen.get("max", 3))
         if lo < 1:
             raise ValueError(f"generator 'words' needs min >= 1, got {lo}")
         if hi < lo:
@@ -441,7 +430,7 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
     if kind == "blank":
         return lambda rng, first, count, cols: [""] * count
     if kind == "maybe":
-        p = float(gen["p"])
+        p = float(_plan_value(gen["p"], "decimal"))
         inner = _compile_gen(gen["inner"], earlier)
 
         def maybe_fn(rng, first, count, cols):
@@ -462,8 +451,8 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
             raise ValueError(
                 f"generator 'pair_close' needs 'with' to name a column of ISO dates, got {gen['with']!r}"
             )
-        text = _date_formatter(fmt)
-        hi_ord = date.fromisoformat(gen.get("hi", "2018-05-31")).toordinal()
+        text = date_writer(compile_date_format(fmt))
+        hi_ord = _plan_value(gen.get("hi", "2018-05-31"), "date").toordinal()
 
         def pair_fn(rng, first, count, cols):
             out = []
@@ -492,24 +481,25 @@ def _recipe_columns(recipe: dict) -> list[str]:
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def _recipe_mutations(recipe: dict, rng: random.Random, fmt_lookup) -> list[tuple[str, str]]:
+def _compile_recipe(recipe: dict, fmts: dict[str, str]):
+    """Compile a recipe dict to fn(rng) -> the (column, value) edits of
+    one injected record; `fmts` maps each column to its date format."""
     kind = recipe["kind"]
+    col = recipe["column"]
     if kind == "blank":
-        return [(recipe["column"], "")]
+        return lambda rng: [(col, "")]
     if kind == "value":
         pool = recipe["pool"]
-        return [(recipe["column"], pool[rng.randrange(len(pool))])]
+        return lambda rng: [(col, pool[rng.randrange(len(pool))])]
+    text = date_writer(compile_date_format(fmts[col]))  # the date recipes' writer
     if kind == "ancient_date":
-        col = recipe["column"]
-        y = rng.randrange(int(recipe.get("lo_year", 1200)), int(recipe.get("hi_year", 1700)))
-        d = date(y, rng.randrange(1, 13), rng.randrange(1, 29))
-        return [(col, _date_formatter(fmt_lookup(col))(d))]
+        lo, hi = _plan_value(recipe.get("lo_year", 1200)), _plan_value(recipe.get("hi_year", 1700))
+        return lambda rng: [(col, text(date(rng.randrange(lo, hi), rng.randrange(1, 13), rng.randrange(1, 29))))]
     if kind == "pair_break":
-        col = recipe["column"]
-        lo = date.fromisoformat(recipe.get("lo", "1995-01-01")).toordinal()
-        hi = date.fromisoformat(recipe.get("hi", "2018-05-31")).toordinal()
-        d = date.fromordinal(rng.randrange(lo, hi + 1))
-        return [(col, _date_formatter(fmt_lookup(col))(d)), (recipe["pair"], "")]
+        lo = _plan_value(recipe.get("lo", "1995-01-01"), "date").toordinal()
+        hi = _plan_value(recipe.get("hi", "2018-05-31"), "date").toordinal()
+        pair = recipe["pair"]
+        return lambda rng: [(col, text(date.fromordinal(rng.randrange(lo, hi + 1)))), (pair, "")]
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
@@ -584,9 +574,7 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
     rng_sample = random.Random(f"{seed}:inject")
     positions = _sample_positions(plan, target.records, rng_sample)
 
-    fmt_by_col = {
-        c.name: (c.field or {}).get("fmt", "YYYY-MM-DD") for c in target.columns
-    }
+    fmts = {c.name: (c.field or {}).get("fmt", "YYYY-MM-DD") for c in target.columns}
     col_index = {c.name: i for i, c in enumerate(target.columns)}
     # (ordinal, column index, value) per injected cell, by chunk index
     mutations: dict[int, list[tuple[int, int, str]]] = {}
@@ -594,10 +582,10 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
     for inj, ordinals in zip(plan.injections, positions):
         if inj.rule is not None:
             manifest_rules.setdefault(inj.rule, []).extend(ordinals)
+        edits = _compile_recipe(inj.recipe, fmts)
         for o in ordinals:
-            muts = _recipe_mutations(inj.recipe, rng_sample, fmt_by_col.__getitem__)
             mutations.setdefault((o - 1) // CHUNK_ROWS, []).extend(
-                (o, col_index[col], val) for col, val in muts
+                (o, col_index[col], val) for col, val in edits(rng_sample)
             )
     gens_by_dataset = []
     for d in plan.datasets:

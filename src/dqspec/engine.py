@@ -160,7 +160,6 @@ class QualityReport:
     flagged: tuple[str, int] | None = None
     started_at: str | None = field(default=None, compare=False)
     finished_at: str | None = field(default=None, compare=False)
-    schema_version: int = 1
 
     @property
     def invalid_rate(self) -> Fraction:
@@ -190,7 +189,7 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
             EmitterMeta(
                 rule_id=f"{obj.name}.structure",
                 field="",
-                dimension="validity",
+                dimension=ast.dimension_for("structure"),
                 severity="error",
                 message="ragged row (unexpected cell count)",
                 is_evaluator=False,
@@ -203,7 +202,7 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 EmitterMeta(
                     rule_id=f"{obj.name}.{f.name}.type",
                     field=f.name,
-                    dimension="validity",
+                    dimension=ast.dimension_for("type"),
                     severity="error",
                     message=_type_message(f.ftype),
                     is_evaluator=False,
@@ -249,7 +248,7 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                 EmitterMeta(
                     rule_id=f"{obj.name}.{r.name}",
                     field="",
-                    dimension="consistency",
+                    dimension=ast.dimension_for("rule"),
                     severity=r.severity,
                     message=f"record rule '{r.name}' not satisfied",
                     is_evaluator=True,

@@ -70,20 +70,12 @@ def format_threshold_decl(th: ast.ThresholdDecl) -> str:
 
 
 def _ftype_text(t: ast.FieldType) -> str:
-    if isinstance(t, ast.TextType):
-        return "text"
-    if isinstance(t, ast.IntegerType):
-        return "integer"
-    if isinstance(t, ast.DecimalType):
-        return "decimal"
-    if isinstance(t, ast.DateType):
-        if t.fmt == "YYYY-MM-DD":
-            return "date"
+    if isinstance(t, ast.DateType) and t.fmt != "YYYY-MM-DD":
         return f"date {escape_string(t.fmt)}"
     if isinstance(t, ast.EnumType):
         vals = ", ".join(escape_string(v) for v in t.values)
         return f"enum({vals})"
-    raise ValueError(f"not a field type: {t!r}")
+    return ast.type_name(t)
 
 
 def _constraint_text(c: ast.FieldConstraint) -> str:

@@ -6,9 +6,9 @@ is raised with position and the set of expected tokens. No partial AST.
 
 from __future__ import annotations
 
-from datetime import date
 from decimal import Decimal
 
+from ..values import ISO_DATE, parse_date_text
 from . import ast
 from .diagnostics import SpecEncodingError, SpecSyntaxError
 from .lexer import KEYWORDS, Token, tokenize
@@ -389,10 +389,8 @@ class _Parser:
         if self.at_kw("date"):
             self.next()
             s = self.expect_string()
-            try:
-                y, m, d = s.value.split("-")
-                val = date(int(y), int(m), int(d))
-            except (ValueError, AttributeError):
-                raise SpecSyntaxError(s.pos, ["a date 'YYYY-MM-DD'"], s.describe()) from None
+            val = parse_date_text(s.value, ISO_DATE)
+            if val is None:
+                raise SpecSyntaxError(s.pos, ["a date 'YYYY-MM-DD'"], s.describe())
             return ast.Lit("date", val, t.pos)
         self.fail(expected)

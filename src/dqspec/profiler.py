@@ -43,7 +43,7 @@ from .ingest import DatasetReader, DialectConfig
 from .lang import ast
 from .lang.formatter import format_spec
 from .lang.lexer import KEYWORDS, escape_string
-from .values import ASCII_WS, DEC_RE, parse_date_text, parse_int, compile_date_format
+from .values import ASCII_WS, compile_date_format, parse_date_text, parse_decimal, parse_int
 
 DATE_PRESETS = ("YYYY-MM-DD", "DD.MM.YYYY", "DD/MM/YYYY")
 _PRESET_FORMATS = tuple(compile_date_format(f) for f in DATE_PRESETS)
@@ -168,8 +168,8 @@ def _classify(p: ColumnProfile, items) -> dict[str, tuple]:
                 elif v > ihi:
                     ihi = v
             # every integer text is a decimal text too
-            if typed or DEC_RE.fullmatch(t):
-                v = Decimal(t)
+            v = Decimal(t) if typed else parse_decimal(t)
+            if v is not None:
                 decs += n
                 typed = True
                 if dlo is None:

@@ -424,6 +424,19 @@ PLAN_EDITS = {
         lambda doc, cols: cols["licence_no"].update(gen={"kind": "pair_close", "with": "program"}),
         "'program'",
     ),
+    "decimal bound NaN": (
+        lambda doc, cols: cols["hours"]["field"].update(constraints=[{"kind": "min", "decimal": "NaN"}]),
+        "'NaN'",
+    ),
+    "limit NaN": (lambda doc, cols: doc["thresholds"][0].update(limit="NaN"), "'NaN'"),
+    "dec bound -inf": (lambda doc, cols: cols["hours"]["gen"].update(kind="dec", lo="-inf", hi="9"), "'-inf'"),
+    "date generator without DD": (lambda doc, cols: cols["terms"]["gen"].update(fmt="YYYY/MM"), "'YYYY/MM'"),
+    "int bound true": (
+        lambda doc, cols: cols["hours"]["field"].update(constraints=[{"kind": "min", "int": True}]),
+        "True",
+    ),
+    "records true": (lambda doc, cols: doc["datasets"][0].update(records=True), "True"),
+    "injection count true": (_inject("blank", count=True), "True"),
     "ISO pair_close with dotted dates": (
         lambda doc, cols: (
             cols["terms"]["gen"].update(fmt="DD.MM.YYYY"),

@@ -353,11 +353,31 @@ def test_full_chunks_do_not_depend_on_the_record_count(tmp_path):
     assert short == long[: 2 * n + 1]
 
 
+def test_float_plan_numbers_read_as_their_text():
+    """A JSON float bound or limit is the number its shortest text spells,
+    not the binary double nearest to it."""
+    from dqspec.lang import format_spec
+
+    plan = corpus.licences_plan(records=10)
+    (ds,) = plan.datasets
+    field = {"type": "decimal", "constraints": [{"kind": "min", "decimal": 0.1}]}
+    columns = tuple(dataclasses.replace(c, field=field) if c.name == "hours" else c for c in ds.columns)
+    plan = dataclasses.replace(
+        plan,
+        datasets=(dataclasses.replace(ds, columns=columns),),
+        thresholds=({"name": "cap", "target": "invalid_records", "limit": 0.1},),
+    )
+    text = format_spec(corpus.reference_spec(plan))
+    assert "field hours decimal min 0.1;" in text and "threshold cap: invalid_records <= 0.1%;" in text, text
+
+
 def test_iso_date_text_matches_the_general_format():
     """`YYYY-MM-DD` is written by date.isoformat; every other format goes
     through str.format. Both give the same digits, zero-padded alike."""
     from datetime import date
 
-    iso, slashed = corpus._date_formatter("YYYY-MM-DD"), corpus._date_formatter("YYYY/MM/DD")
+    from dqspec.values import compile_date_format, date_writer
+
+    iso, slashed = (date_writer(compile_date_format(f)) for f in ("YYYY-MM-DD", "YYYY/MM/DD"))
     for d in (date(1, 1, 1), date(999, 12, 31), date(1200, 2, 9), date(2018, 5, 31), date(9999, 12, 31)):
         assert iso(d) == slashed(d).replace("/", "-"), d

@@ -117,6 +117,18 @@ def test_enum_and_date_types():
     assert c.ftype == ast.DateType() == d.ftype
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2018-1-1", " 2018-01-01", "2018-01-01 ", "+2018-01-01", "\u0662\u0660\u0661\u0668-\u0660\u0661-\u0660\u0661"],
+)
+def test_date_literal_is_exactly_iso(text):
+    """A date literal is `YYYY-MM-DD` in ASCII digits, as a cell of an
+    ISO date field is; `int()` would take the others."""
+    with pytest.raises(SpecSyntaxError) as ei:
+        parse_spec(f"spec s {{ source f {{ path 'p'; }} object o from f {{ field d date min date '{text}'; }} }}")
+    assert ei.value.expected == ["a date 'YYYY-MM-DD'"]
+
+
 def test_warn_severity_markers():
     spec = parse_spec(
         "spec s { source f { path 'p'; } object o from f {"

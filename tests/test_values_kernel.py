@@ -1,6 +1,7 @@
 """The cell grammar: the primitives in `dqspec.values` that the generated
-evaluator and the profiler call (`parse_int`, `DEC_RE`, `parse_date_text`),
-the C-level parses differentially against the oracle and the pure-Python
+evaluator, the profiler, the spec parser and the corpus generator call
+(`parse_int`, `parse_decimal`, `parse_date_text`, `date_writer`), the
+C-level parses differentially against the oracle and the pure-Python
 parses they replaced, and, through `engine.run` checked against the
 independent oracle, trimming, null tokens and enum membership."""
 
@@ -15,17 +16,12 @@ from hypothesis import strategies as st
 
 from dqspec import engine, profiler, values
 from dqspec.lang import check_spec, parse_spec
-from dqspec.values import ASCII_WS, DEC_RE, compile_date_format, parse_date_text, parse_int
+from dqspec.values import ASCII_WS, compile_date_format, parse_date_text, parse_decimal, parse_int
 from helpers import write_csv
 from naive_oracle import _parse_date, _parse_int, naive_evaluate
 
 ISO = compile_date_format("YYYY-MM-DD")
 DMY = compile_date_format("DD.MM.YYYY")
-
-
-def _dec(t: str):
-    """The decimal the evaluator parses from trimmed text `t`, or None."""
-    return Decimal(t) if DEC_RE.fullmatch(t) is not None else None
 
 
 def _check(tmp_path, decl: str, cells, source_extra: str = "") -> dict[int, list[str]]:
@@ -79,12 +75,12 @@ def test_int64_bounds():
 
 
 def test_decimal_grammar():
-    assert _dec("1.50") == Decimal("1.50")
-    assert _dec(".5") == Decimal("0.5")
-    assert _dec("5.") == Decimal("5")
-    assert _dec("-0.25") == Decimal("-0.25")
-    for bad in ("1e5", "NaN", "Infinity", "1..2", "+", "."):
-        assert _dec(bad) is None, bad
+    assert parse_decimal("1.50") == Decimal("1.50")
+    assert parse_decimal(".5") == Decimal("0.5")
+    assert parse_decimal("5.") == Decimal("5")
+    assert parse_decimal("-0.25") == Decimal("-0.25")
+    for bad in ("1e5", "NaN", "Infinity", "-inf", "1_0", "\u0661", " 1", "1..2", "+", "."):
+        assert parse_decimal(bad) is None, bad
 
 
 def test_date_validation():
@@ -116,8 +112,8 @@ def test_text_is_trimmed(tmp_path):
 
 def test_render_parse_idempotent():
     assert parse_int(str(parse_int("007"))) == 7
-    d = _dec("1.50")
-    assert _dec(values.format_decimal(d)) == d
+    d = parse_decimal("1.50")
+    assert parse_decimal(values.format_decimal(d)) == d
     day = parse_date_text("2020-02-29", ISO)
     assert parse_date_text(day.isoformat(), ISO) == day
 
@@ -128,7 +124,7 @@ def test_cell_primitives_are_total(raw):
     for t in (raw, raw.strip(ASCII_WS)):
         n = parse_int(t)
         assert n is None or values.INT64_MIN <= n <= values.INT64_MAX
-        assert _dec(t) is None or isinstance(_dec(t), Decimal)
+        assert parse_decimal(t) is None or isinstance(parse_decimal(t), Decimal)
         for df in (ISO, DMY):
             d = parse_date_text(t, df)
             assert d is None or isinstance(d, date)
@@ -179,7 +175,7 @@ def _python_int(t: str) -> int | None:
     return v if values.INT64_MIN <= v <= values.INT64_MAX else None
 
 
-DATE_FORMATS = profiler.DATE_PRESETS + ("YYYYMMDD",)
+DATE_FORMATS = profiler.DATE_PRESETS + ("YYYYMMDD", "YYYY\u5e74MM\u6708DD\u65e5")
 # characters a near-valid text is edited with: separators, ISO 8601's
 # week and time marks, signs, non-ASCII digits and a lone surrogate
 NEAR = "0123456789-./ WT+:Z\x00\u0661\u0669\uff10\uff19\u00b2\ud800"
@@ -223,6 +219,28 @@ DATE_CASES = [
     "2018-01-0\ud800", "2018\ud800101", "01.01.201\ud800", "2018-1-01", " 2018-01-01",
     "01.01.2018", "29.02.1900", "29/02/2000", "31/12/9999", "00000101", "19000229",
 ]
+
+
+def _random_format(rng: random.Random) -> str:
+    """YYYY, MM and DD in a random order, with up to two literal
+    characters around each: braces, and ASCII and other separators."""
+    tokens = ["YYYY", "MM", "DD"]
+    rng.shuffle(tokens)
+    literals = ["".join(rng.choices("-./ {}:T_\u5e74\u00e9", k=rng.randrange(3))) for _ in range(4)]
+    return literals[0] + "".join(tok + lit for tok, lit in zip(tokens, literals[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_date_writer_round_trips(seed):
+    rng = random.Random(seed)
+    formats = ["YYYY-MM-DD", "YYYYMMDD", "{DD}}MM{{YYYY}", *(_random_format(rng) for _ in range(300))]
+    for fmt in formats:
+        df = compile_date_format(fmt)
+        write = values.date_writer(df)
+        days = [date.min, date.max, *(date.fromordinal(rng.randint(1, date.max.toordinal())) for _ in range(50))]
+        for day in days:
+            t = write(day)
+            assert len(t) == df.length and parse_date_text(t, df) == day, (fmt, t)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
