@@ -430,7 +430,10 @@ def _compile_gen(gen: dict, earlier: dict[str, tuple[int, dict]]):
     if kind == "blank":
         return lambda rng, first, count, cols: [""] * count
     if kind == "maybe":
-        p = float(_plan_value(gen["p"], "decimal"))
+        p = _plan_value(gen["p"], "decimal")
+        if not 0 <= p <= 1:
+            raise ValueError(f"generator 'maybe' needs p within 0..1, got {gen['p']!r}")
+        p = float(p)
         inner = _compile_gen(gen["inner"], earlier)
 
         def maybe_fn(rng, first, count, cols):
@@ -557,6 +560,25 @@ class GenResult:
     spec_text: str
 
 
+def _check_names_and_sizes(plan: CorpusPlan, spec: ast.SpecAst) -> None:
+    """ValueError for a negative size, an injection whose rule no check
+    of the reference spec has, or a dataset file name that is not a
+    plain name of its own in the output directory."""
+    taken = [f"{plan.name}.dq", "manifest.json"]
+    for d in plan.datasets:
+        if d.records < 0:
+            raise ValueError(f"dataset {d.name!r} needs records >= 0, got {d.records}")
+        if d.filename in (*taken, "", "..") or Path(d.filename).name != d.filename:
+            raise ValueError(f"dataset {d.name!r} needs a plain file name no other output file has, got {d.filename!r}")
+        taken.append(d.filename)
+    rule_ids = ast.rule_ids(spec.objects[0])
+    for inj in plan.injections:
+        if inj.count < 0:
+            raise ValueError(f"injection for {inj.rule or 'benign edit'} needs count >= 0, got {inj.count}")
+        if inj.rule is not None and inj.rule not in rule_ids:
+            raise ValueError(f"injection rule {inj.rule!r} is not a rule of the reference spec")
+
+
 def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> GenResult:
     """Write all datasets, the reference spec and the manifest.
 
@@ -568,6 +590,7 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
     seed = plan.seed if seed is None else seed
     spec = reference_spec(plan)
     check_spec(spec)
+    _check_names_and_sizes(plan, spec)
     spec_text = format_spec(spec)
 
     target = plan.dataset(plan.object_dataset)

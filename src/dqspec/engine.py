@@ -14,9 +14,10 @@ the file is read sequentially, so no block is larger. Each
 worker process reads, decodes and parses whole blocks itself, runs the
 same function with its `unique` seen tables cleared per block, and
 returns its block's record count, its violating and ragged records, and
-the keys first seen in the block; at most two blocks per worker are in
-flight. The parent's evaluator holds the seen tables of the whole file:
-a block's key already in them is a duplicate, which the parent adds to
+the keys first seen in the block. There are at most `jobs` workers, and
+no more than the CPUs the process may use, with at most two blocks per
+worker in flight. The parent's evaluator holds the seen tables of the
+whole file: a block's key already in them is a duplicate, which the parent adds to
 the violations of the key's record. A cut may fall inside a quoted
 field, so a block counts only when its strict parse uses up every byte
 of it: block 0 starts at a record boundary, and each block that counts
@@ -588,13 +589,15 @@ def run(
             else:
                 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+                workers = min(jobs, cpus, len(cuts))
                 try:
                     with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(cuts)),
+                        max_workers=workers,
                         initializer=_worker_init,
                         initargs=(plan, oi, colmap, indexes, reader.path, reader.dialect, reader.width),
                     ) as pool:
-                        results = _pooled(pool, cuts, 2 * jobs, reader, ev)
+                        results = _pooled(pool, cuts, 2 * workers, reader, ev)
                         obj_invalid = _merge_all(results, oplan, counts, emit)
                 except BrokenProcessPool as exc:
                     raise DataError(

@@ -193,6 +193,16 @@ CONSTRAINT_KINDS = (
 RESERVED_RULE_NAMES = ("structure",)
 
 
+def rule_ids(obj: ObjectDecl) -> list[str]:
+    """The id of each check `obj` declares, as the engine's plan and its
+    report name them: the structure check, each field's type check and
+    constraints, then each record rule."""
+    ids = [f"{obj.name}.structure"]
+    for f in obj.fields:
+        ids += [f"{obj.name}.{f.name}.{kind}" for kind in ("type", *(c.kind for c in f.constraints))]
+    return ids + [f"{obj.name}.{r.name}" for r in obj.rules]
+
+
 def dimension_for(kind: str, ftype: FieldType | None = None) -> str:
     """Quality dimension for a constraint kind (total over all kinds).
 

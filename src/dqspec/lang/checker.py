@@ -57,11 +57,11 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
     def check_pattern(pattern: str, pos) -> None:
         if pattern in compiled_patterns:
             return
-        err = pat.validate_pattern(pattern)
+        compiled, err = pat.compile_pattern(pattern)
         if err is not None:
             bad("InvalidPattern", pos, f"pattern {pattern!r}: {err}")
         else:
-            compiled_patterns[pattern] = re.compile(pattern)
+            compiled_patterns[pattern] = compiled
 
     # every id a threshold may target: structure, type, constraint, rule
     known_ids: set[str] = set()
@@ -76,7 +76,7 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
             bad("UnknownSource", obj.pos, f"object '{obj.name}' reads from undeclared source '{obj.source}'")
         if not obj.fields:
             bad("EmptyObject", obj.pos, f"object '{obj.name}' declares no fields")
-        known_ids.add(f"{obj.name}.structure")
+        known_ids.update(ast.rule_ids(obj))
 
         field_types: dict[str, ast.FieldType] = {}
         for f in obj.fields:
@@ -84,7 +84,6 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                 bad("DuplicateName", f.pos, f"field '{f.name}' declared twice in object '{obj.name}'")
                 continue
             field_types[f.name] = f.ftype
-            known_ids.add(f"{obj.name}.{f.name}.type")
             _check_field(obj, f, src, source_map, bad, check_pattern, compiled_formats)
             seen_kinds: set[str] = set()
             for c in f.constraints:
@@ -92,7 +91,6 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                     bad("DuplicateName", c.pos, f"constraint '{c.kind}' repeated on field '{f.name}'")
                     continue
                 seen_kinds.add(c.kind)
-                known_ids.add(f"{obj.name}.{f.name}.{c.kind}")
 
         rule_names: set[str] = set()
         for r in obj.rules:
@@ -104,7 +102,6 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
                 continue
             rule_names.add(r.name)
             _check_expr(r.expr, field_types, bad, check_pattern)
-            known_ids.add(f"{obj.name}.{r.name}")
 
     threshold_names: set[str] = set()
     for th in spec.thresholds:

@@ -1,107 +1,94 @@
 """Pattern support: a portable regex subset plus SQL LIKE translation.
 
-`matches` uses full-match semantics. The accepted subset is character
-classes, the . wildcard, quantifiers (* + ? {m} {m,n}), alternation,
-plain groups and anchors. Backreferences and (?...) extensions are
-rejected so patterns stay portable across engines.
+`matches` uses full-match semantics. The subset is literals, a backslash
+before one of .\\*+?()[]{}|^$-/'" or dDwWsS, character classes, the .
+wildcard, quantifiers (* + ? {m} {m,} {m,n}), alternation, plain groups
+and the anchors ^ $. Backreferences, (?...) extensions and classes that
+Python would read as set operations are rejected so patterns stay
+portable. Only `_tokens`, with its helper `_atom`, reads pattern text.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 
-_ESCAPABLE = set(".\\*+?()[]{}|^$-/'\"")
-_CLASS_SHORTHAND = set("dDwWsS")
-_WILDCARD = re.compile(r"(?<!\\)(?:\\\\)*\.")  # a '.' that no backslash escapes
+_ESCAPABLE = frozenset(".\\*+?()[]{}|^$-/'\"")
+_SHORTHAND = frozenset("dDwWsS")
+_REPEAT = re.compile(r"\{[0-9]+(?:,[0-9]*)?\}")
+
+
+def _atom(pattern: str, i: int, where: str = "") -> str:
+    """The character at `i`, or the escape pair that starts there."""
+    if pattern[i] != "\\":
+        return pattern[i]
+    esc = pattern[i + 1:i + 2]
+    if not esc:
+        raise re.error(f"trailing backslash{where}")
+    if esc in _ESCAPABLE or esc in _SHORTHAND:
+        return "\\" + esc
+    if esc.isdigit() and not where:
+        raise re.error("backreferences are not supported")
+    raise re.error(f"unsupported escape \\{esc}{where}")
+
+
+def _tokens(pattern: str):
+    """Yield (index, token) for each token of `pattern`: a character, an
+    escape pair, a whole {m,n}, or a class as the list of its '[', its
+    members ('^' first if it negates) and ']'. Raises re.error at the
+    first text outside the subset, lazily: only when a caller reads on."""
+    i, n = 0, len(pattern)
+    while i < n:
+        tok = _atom(pattern, i)
+        j = i + len(tok)
+        if tok == "[":
+            tok = ["["]
+            while tok[-1] != "]":
+                if j == n:
+                    raise re.error("unterminated character class")
+                member = _atom(pattern, j, " in character class")
+                if member == "]" and tok[1:] in ([], ["^"]):
+                    raise re.error("empty character class")
+                tok.append(member)
+                j += len(member)
+        elif tok == "{":
+            m = _REPEAT.match(pattern, i)
+            if m is None:
+                raise re.error("malformed {m,n} repetition")
+            tok, j = m.group(), m.end()
+        elif tok in ("]", "}"):
+            raise re.error(f"unbalanced '{tok}'")
+        elif tok == "(" and pattern.startswith("?", j):
+            raise re.error("(?...) group extensions are not supported")
+        yield i, tok
+        i = j
+
+
+def compile_pattern(pattern: str) -> tuple[re.Pattern | None, str | None]:
+    """(the compiled pattern, None), or (None, why it is no pattern of the subset)."""
+    depth = 0
+    try:
+        for _, tok in _tokens(pattern):
+            depth += (tok == "(") - (tok == ")")
+            if depth < 0:
+                return None, "unbalanced ')'"
+    except re.error as exc:
+        return None, str(exc)
+    if depth:
+        return None, "unbalanced '('"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        try:
+            return re.compile(pattern), None
+        except FutureWarning as exc:
+            return None, f"not portable: {exc}"
+        except (re.error, OverflowError, RecursionError) as exc:
+            return None, f"does not compile: {exc}"
 
 
 def validate_pattern(pattern: str) -> str | None:
-    """Return an error message if the pattern falls outside the subset
-    or does not compile; None when acceptable."""
-    i = 0
-    n = len(pattern)
-    depth = 0
-    while i < n:
-        ch = pattern[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                return "trailing backslash"
-            nxt = pattern[i + 1]
-            if nxt in _ESCAPABLE or nxt in _CLASS_SHORTHAND:
-                i += 2
-                continue
-            if nxt.isdigit():
-                return "backreferences are not supported"
-            return f"unsupported escape \\{nxt}"
-        if ch == "[":
-            j, err = _scan_class(pattern, i)
-            if err:
-                return err
-            i = j
-            continue
-        if ch == "(":
-            if pattern.startswith("(?", i):
-                return "(?...) group extensions are not supported"
-            depth += 1
-            i += 1
-            continue
-        if ch == ")":
-            depth -= 1
-            if depth < 0:
-                return "unbalanced ')'"
-            i += 1
-            continue
-        if ch == "{":
-            j, err = _scan_repeat(pattern, i)
-            if err:
-                return err
-            i = j
-            continue
-        if ch == "}":
-            return "unbalanced '}'"
-        if ch == "]":
-            return "unbalanced ']'"
-        # literals, anchors and bare quantifiers; re.compile validates use
-        i += 1
-    if depth != 0:
-        return "unbalanced '('"
-    try:
-        re.compile(pattern)
-    except re.error as exc:
-        return f"does not compile: {exc}"
-    return None
-
-
-def _scan_class(pattern: str, i: int) -> tuple[int, str | None]:
-    n = len(pattern)
-    j = i + 1
-    if j < n and pattern[j] == "^":
-        j += 1
-    body = False
-    while j < n:
-        ch = pattern[j]
-        if ch == "\\":
-            if j + 1 >= n:
-                return j, "trailing backslash in character class"
-            if pattern[j + 1] in _ESCAPABLE or pattern[j + 1] in _CLASS_SHORTHAND:
-                j += 2
-                body = True
-                continue
-            return j, f"unsupported escape \\{pattern[j + 1]} in character class"
-        if ch == "]":
-            if not body:
-                return j, "empty character class"
-            return j + 1, None
-        j += 1
-        body = True
-    return j, "unterminated character class"
-
-
-def _scan_repeat(pattern: str, i: int) -> tuple[int, str | None]:
-    m = re.compile(r"\{[0-9]+(,[0-9]*)?\}").match(pattern, i)
-    if m is None:
-        return i, "malformed {m,n} repetition"
-    return m.end(), None
+    """Why the pattern is outside the subset or does not compile, or None."""
+    return compile_pattern(pattern)[1]
 
 
 def like_translation(pattern: str) -> tuple[str | None, str | None]:
@@ -111,55 +98,33 @@ def like_translation(pattern: str) -> tuple[str | None, str | None]:
     exact LIKE counterparts. Returns (like_pattern, None) on success or
     (None, reason) when the pattern exceeds LIKE expressiveness.
     """
-    i = 0
-    n = len(pattern)
     out: list[str] = []
-
-    def emit_literal(ch: str):
-        if ch in ("%", "_", "\\"):
-            out.append("\\" + ch)
-        else:
-            out.append(ch)
-
-    while i < n:
-        ch = pattern[i]
-        if ch == "\\":
-            if i + 1 < n and pattern[i + 1] in _ESCAPABLE:
-                emit_literal(pattern[i + 1])
-                i += 2
-                continue
-            return None, f"escape \\{pattern[i + 1:i + 2]} has no LIKE equivalent"
-        if ch == ".":
-            if i + 1 < n and pattern[i + 1] == "*":
-                out.append("%")
-                i += 2
-                continue
-            if i + 1 < n and pattern[i + 1] == "+":
-                out.append("_%")
-                i += 2
-                continue
-            out.append("_")
-            i += 1
-            continue
-        if ch == "^" and i == 0:
-            i += 1
-            continue
-        if ch == "$" and i == n - 1:
-            i += 1
-            continue
-        if ch in "[](){}|*+?^$":
-            return None, f"'{ch}' exceeds LIKE expressiveness"
-        emit_literal(ch)
-        i += 1
+    try:
+        for i, tok in _tokens(pattern):
+            if tok in ("*", "+") and out[-1:] == ["_"]:  # after a '.': a literal _ is \_
+                out[-1] = "%" if tok == "*" else "_%"
+            elif tok == ".":
+                out.append("_")
+            elif (tok == "^" and i == 0) or (tok == "$" and i == len(pattern) - 1):
+                pass
+            elif tok[0] == "\\" and tok[1] in _SHORTHAND:
+                return None, f"escape {tok} has no LIKE equivalent"
+            elif tok[0] in "[(){|*+?^$":
+                return None, f"'{tok[0]}' exceeds LIKE expressiveness"
+            else:  # a character, or the one an escape pair stands for
+                out.append("\\" + tok[-1] if tok[-1] in "%_\\" else tok[-1])
+    except re.error as exc:
+        return None, str(exc)
     return "".join(out), None
 
 
 def line_feed_guard(pattern: str) -> str | None:
     """A LIKE pattern for the cells that `like_translation(pattern)`
-    matches and `re.fullmatch` does not, or None if the pattern has no
-    '.': LIKE's wildcards match a line feed and a regex '.' does not, so
-    such a cell holds more line feeds than the pattern.
-    """
-    if _WILDCARD.search(pattern) is None:
-        return None
-    return "%" + "\n%" * (pattern.count("\n") + 1)
+    matches and `re.fullmatch` does not, or None if no '.' (in a class or
+    not) is in the pattern: LIKE's wildcards match a line feed and a regex
+    '.' does not, so such a cell holds more line feeds than the pattern."""
+    try:
+        wild = any(tok == "." or isinstance(tok, list) and "." in tok for _, tok in _tokens(pattern))
+    except re.error:
+        wild = False
+    return "%" + "\n%" * (pattern.count("\n") + 1) if wild else None

@@ -375,9 +375,13 @@ def _plan_text(edit) -> str:
     return json.dumps(doc)
 
 
-def _inject(kind: str, count: int = 1):
+def _inject(kind: str, count: int = 1, rule: str | None = None):
     recipe = {"kind": kind, "column": "hours"}
-    return lambda doc, cols: doc.update(injections=[{"rule": None, "count": count, "recipe": recipe}])
+    return lambda doc, cols: doc.update(injections=[{"rule": rule, "count": count, "recipe": recipe}])
+
+
+def _filename(name: str):
+    return lambda doc, cols: doc["datasets"][0].update(filename=name)
 
 
 # plan edits, and what the one line on standard error must name
@@ -437,6 +441,24 @@ PLAN_EDITS = {
     ),
     "records true": (lambda doc, cols: doc["datasets"][0].update(records=True), "True"),
     "injection count true": (_inject("blank", count=True), "True"),
+    "records below 0": (lambda doc, cols: doc["datasets"][0].update(records=-5), "-5"),
+    "injection count below 0": (_inject("blank", count=-3), "-3"),
+    "maybe with p above 1": (
+        lambda doc, cols: cols["hours"].update(gen={"kind": "maybe", "p": 1.5, "inner": cols["hours"]["gen"]}),
+        "1.5",
+    ),
+    "injection for no rule of the spec": (
+        _inject("blank", rule="licences.nosuch.not_null"),
+        "'licences.nosuch.not_null'",
+    ),
+    "filename of the reference spec": (_filename("licences.dq"), "'licences.dq'"),
+    "filename of the manifest": (_filename("manifest.json"), "'manifest.json'"),
+    "filename in a subdirectory": (_filename("sub/x.csv"), "'sub/x.csv'"),
+    "filename outside the output directory": (_filename("../escape.csv"), "'../escape.csv'"),
+    "two datasets with one filename": (
+        lambda doc, cols: doc["datasets"].append(dict(doc["datasets"][0], name="again")),
+        "'licences.csv'",
+    ),
     "ISO pair_close with dotted dates": (
         lambda doc, cols: (
             cols["terms"]["gen"].update(fmt="DD.MM.YYYY"),

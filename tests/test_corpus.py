@@ -90,9 +90,7 @@ def test_infeasible_plan_raises(tmp_path):
         plan,
         injections=(
             corpus.Injection("register.name.not_null", 8, {"kind": "blank", "column": "name"}),
-            corpus.Injection(
-                "register.name.not_null2", 5, {"kind": "blank", "column": "name"}
-            ),
+            corpus.Injection("register.name.not_null", 5, {"kind": "blank", "column": "name"}),
         ),
     )
     with pytest.raises(corpus.InfeasiblePlan):

@@ -417,16 +417,29 @@ def test_jobs_window_bounds_pending_chunks(tmp_path, monkeypatch):
         return fut
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    workers = []
+    real_init = ProcessPoolExecutor.__init__
 
-    outputs = []
-    for jobs in (1, 2):
+    def init(self, max_workers=None, *args, **kwargs):
+        workers.append(max_workers)
+        real_init(self, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def run(jobs):
         flagged = tmp_path / "flagged.csv"
         writer = report.FlaggedWriter(str(flagged))
         rep = engine.run(plan, paths, jobs=jobs, violation_sink=writer.write)
         rep = engine.with_flagged(rep, str(flagged), writer.close())
-        outputs.append((report.render_json(rep), flagged.read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert 0 < peak[0] <= 2 * 2
+        return report.render_json(rep), flagged.read_bytes()
+
+    assert run(1) == run(2)
+    assert workers == [2] and 0 < peak[0] <= 2 * 2
+    # past the 2 usable CPUs, jobs starts one worker per CPU and sizes the window to match
+    peak[0] = 0
+    assert run(6) == run(1)
+    assert workers == [2, 2] and 0 < peak[0] <= 2 * 2
 
 
 PUBLIC_NAMES = [

@@ -14,6 +14,7 @@ from dqspec.lang import (
     check_spec,
     parse_spec,
 )
+from dqspec.lang.lexer import escape_string
 from randgen import rand_executable_spec
 
 MINIMAL = """
@@ -206,13 +207,36 @@ def test_type_mismatch_cases():
     )
 
 
+# one pattern per message of the subset's validation
+PATTERN_FAULTS = {
+    "a\\": "trailing backslash",
+    "(a)\\1": "backreferences are not supported",
+    "a\\q": "unsupported escape \\q",
+    "[a\\": "trailing backslash in character class",
+    "[\\q]": "unsupported escape \\q in character class",
+    "a[]": "empty character class",
+    "[^]": "empty character class",
+    "[ab": "unterminated character class",
+    "a{x}": "malformed {m,n} repetition",
+    "a)": "unbalanced ')'",
+    "(a": "unbalanced '('",
+    "a]": "unbalanced ']'",
+    "a}": "unbalanced '}'",
+    "(?=x)": "(?...) group extensions are not supported",
+    "a**": "does not compile: multiple repeat at position 2",
+    "[[]": "not portable: Possible nested set at position 1",
+}
+
+
 def test_invalid_pattern_rejected():
-    assert _codes(
-        "spec s { source f { path 'p'; } object o from f { field t text matches '(a)\\\\1'; } }"
-    ) == ["InvalidPattern"]
-    assert _codes(
-        "spec s { source f { path 'p'; } object o from f { field t text matches '(?=x)'; } }"
-    ) == ["InvalidPattern"]
+    for pattern, message in PATTERN_FAULTS.items():
+        with pytest.raises(SpecValidationError) as ei:
+            _checked(
+                "spec s { source f { path 'p'; } object o from f {"
+                f" field t text matches {escape_string(pattern)}; }} }}"
+            )
+        issues = [(i.code, i.message) for i in ei.value.issues]
+        assert issues == [("InvalidPattern", f"pattern {pattern!r}: {message}")], pattern
 
 
 def test_reserved_rule_name():
