@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .ingest import DataError, DialectConfig, open_dataset
 from .lang import SpecEncodingError, SpecSyntaxError, SpecValidationError
-from .lang.lexer import KEYWORDS
+from .lang.lexer import is_name
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -111,7 +111,7 @@ def _cmd_profile(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     name = args.source_name
-    if name is not None and not (name.isascii() and name.isidentifier() and name not in KEYWORDS):
+    if name is not None and not is_name(name):
         raise UsageError(f"--source-name must be a non-keyword identifier, got {name!r}")
     with open_dataset(args.data, dialect) as reader:
         profiles = profiler.profile(reader, top_k=args.top)

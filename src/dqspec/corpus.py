@@ -34,7 +34,7 @@ from itertools import accumulate, cycle, islice, repeat
 from operator import add
 from pathlib import Path
 
-from .lang import ast, check_spec, format_spec, parse_expression
+from .lang import SpecSyntaxError, ast, check_spec, format_spec, parse_expression, parse_spec
 from .values import ISO_DATE, compile_date_format, date_writer, parse_date_text, parse_decimal, parse_int
 
 
@@ -592,6 +592,11 @@ def generate(plan: CorpusPlan, out_dir: str | Path, seed: int | None = None) -> 
     check_spec(spec)
     _check_names_and_sizes(plan, spec)
     spec_text = format_spec(spec)
+    try:  # a plan's names are written unquoted, so one that is not a name breaks the spec
+        if parse_spec(spec_text) != spec:
+            raise ValueError("the reference spec reads back as another spec")
+    except SpecSyntaxError as exc:
+        raise ValueError(f"the reference spec does not read back: {exc}") from None
 
     target = plan.dataset(plan.object_dataset)
     rng_sample = random.Random(f"{seed}:inject")

@@ -1,7 +1,8 @@
-"""Tokenizer for .dq specification sources."""
+"""Tokenizer for .dq specification sources: one regular expression per token kind, as in lex."""
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -16,9 +17,30 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_SYMBOLS = ("<=", ">=", "!=", "{", "}", "(", ")", ";", ":", ",", ".", "%", "=", "<", ">", "-")
-
+# escape letter -> the character it stands for; a backslash before any
+# other character is a literal backslash
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE = r"\\([\\'ntr])"
+_SPELLINGS = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
+
+# Tried in order at each position. Only `skip` can hold a line feed, and
+# ASCII classes keep \s, \w and \d from admitting other Unicode letters.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("skip", r"[ \t\r\n]+|#[^\n]*"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("number", r"[0-9]+\.[0-9]+"),
+            ("int", r"[0-9]+"),
+            # the closing quote is optional, so an escape is never taken
+            # back to end the string early; a string without it is an error
+            ("string", rf"'(?:{_ESCAPE}|[^'\n])*(?P<closed>')?"),
+            ("sym", r"[<>!]=|[{}();:,.%=<>-]"),
+        )
+    )
+)
+_VALUES = {"ident": str, "number": Decimal, "int": int, "sym": str}  # a token's value from its text
 
 
 class Token(NamedTuple):
@@ -35,12 +57,10 @@ class Token(NamedTuple):
         return f"'{self.text}'"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ("a" <= ch <= "z") or ("A" <= ch <= "Z")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or ("0" <= ch <= "9")
+def is_name(text: str) -> bool:
+    """Whether `text` reads as one identifier token that is not a keyword."""
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.lastgroup == "ident" and text not in KEYWORDS
 
 
 def tokenize(text: str) -> list[Token]:
@@ -48,110 +68,33 @@ def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0  # index of the first character of the current line
     n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        pos = Pos(line, col)
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("ident", word, word, pos))
-            advance(j - i)
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                word = text[i:j]
-                toks.append(Token("number", word, Decimal(word), pos))
-            else:
-                word = text[i:j]
-                try:
-                    value = int(word)
-                except ValueError:  # past the interpreter's limit on int() digits
-                    raise SpecSyntaxError(pos, ["a shorter integer"], f"{len(word)} digits") from None
-                toks.append(Token("int", word, value, pos))
-            advance(j - i)
-            continue
-        if ch == "'":
-            out = []
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise SpecSyntaxError(pos, ["closing \"'\""], "end of input")
-                c = text[j]
-                if c == "'":
-                    j += 1
-                    break
-                if c == "\n":
-                    raise SpecSyntaxError(pos, ["closing \"'\""], "end of line")
-                if c == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    if esc in _ESCAPES:
-                        out.append(_ESCAPES[esc])
-                        j += 2
-                        continue
-                    # unknown escape: keep the backslash literally
-                    out.append("\\")
-                    j += 1
-                    continue
-                out.append(c)
-                j += 1
-            word = text[i:j]
-            toks.append(Token("string", word, "".join(out), pos))
-            advance(j - i)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, sym, pos))
-                advance(len(sym))
-                break
+        m = _TOKEN.match(text, i)
+        pos = Pos(line, i - line_start + 1)
+        if m is None:
+            raise SpecSyntaxError(pos, ["a token"], f"character {text[i]!r}")
+        kind, word = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = i + word.rindex("\n") + 1
+        elif kind == "string":
+            if m.group("closed") is None:
+                found = "end of input" if m.end() == n else "end of line"
+                raise SpecSyntaxError(pos, ["closing \"'\""], found)
+            toks.append(Token(kind, word, re.sub(_ESCAPE, lambda e: _ESCAPES[e[1]], word[1:-1]), pos))
         else:
-            raise SpecSyntaxError(pos, ["a token"], f"character {ch!r}")
-    toks.append(Token("eof", "", None, Pos(line, col)))
+            try:
+                toks.append(Token(kind, word, _VALUES[kind](word), pos))
+            except ValueError:  # an int past the interpreter's limit on int() digits
+                raise SpecSyntaxError(pos, ["a shorter integer"], f"{len(word)} digits") from None
+        i = m.end()
+    toks.append(Token("eof", "", None, Pos(line, n - line_start + 1)))
     return toks
 
 
 def escape_string(s: str) -> str:
     """Canonical single-quoted spelling understood by the tokenizer."""
-    out = ["'"]
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == "'":
-            out.append("\\'")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    out.append("'")
-    return "".join(out)
+    return "'" + s.translate(_SPELLINGS) + "'"

@@ -34,10 +34,16 @@ def parse_expression(text: str) -> ast.BoolExpr:
     return expr
 
 
+# The generated evaluator nests two parentheses per level, and CPython
+# compiles at most 200; the recursive passes over a rule stay shallow too.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0  # 'not' and '(' around the current position
 
     # ------------------------------------------------------------- primitives
 
@@ -331,14 +337,19 @@ class _Parser:
 
     def unary_expr(self) -> ast.BoolExpr:
         t = self.peek()
-        if self.eat_kw("not"):
-            return ast.Not(item=self.unary_expr(), pos=t.pos)
-        if self.at_sym("("):
-            self.next()
+        if not (self.at_kw("not") or self.at_sym("(")):
+            return self.predicate()
+        if self.depth == MAX_NESTING:
+            self.fail([f"a predicate within {MAX_NESTING} nested 'not' and '('"])
+        self.depth += 1
+        self.next()
+        if t.kind == "ident":
+            inner = ast.Not(item=self.unary_expr(), pos=t.pos)
+        else:
             inner = self.expr()
             self.expect_sym(")")
-            return inner
-        return self.predicate()
+        self.depth -= 1
+        return inner
 
     def predicate(self) -> ast.BoolExpr:
         operand = self.operand()

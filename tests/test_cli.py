@@ -232,7 +232,7 @@ def test_column_only_ragged_rows_have_gets_no_field(tmp_path, capsys):
     assert "column_3" not in text and "field b text" in text, text
     assert code in (0, 1) and counts["d.structure"] == 1, counts
 
-@pytest.mark.parametrize("name", ["bad name", "date", "1st", "é"])
+@pytest.mark.parametrize("name", ["bad name", "date", "1st", "é", "x\n"])
 def test_profile_source_name_not_an_identifier_exit_2(tmp_path, capsys, name):
     data = write_csv(tmp_path / "d.csv", [["n"], ["1"]])
     draft = tmp_path / "d.dq"
@@ -240,6 +240,46 @@ def test_profile_source_name_not_an_identifier_exit_2(tmp_path, capsys, name):
     out = capsys.readouterr()
     assert out.out == "" and "--source-name" in out.err and "Traceback" not in out.err
     assert not draft.exists()
+
+
+# a rule that nests `depth` levels of 'not' or '(' in the shape named
+NESTED_RULES = {
+    "parentheses": lambda depth: "(" * depth + "x is null" + ")" * depth,
+    "not over a test for null": lambda depth: "not " * depth + "x is null",
+    "not over a comparison": lambda depth: "not " * depth + "x > 1",
+    "and and or groups": lambda depth: (
+        "".join(f"(x > {i} {('or', 'and')[i % 2]} " for i in range(depth)) + "x < 5" + ")" * depth
+    ),
+    "not and parentheses": lambda depth: (
+        "".join(("not ", "(")[i % 2] for i in range(depth)) + "x > 1" + ")" * (depth // 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_RULES)
+def test_rule_nesting_is_bounded(tmp_path, capsys, shape):
+    """The deepest rule the parser accepts compiles and runs; one level
+    deeper is a syntax error, not a traceback from the parser or from
+    compiling the generated evaluator."""
+    from dqspec.lang import SpecSyntaxError, parse_expression
+    from dqspec.lang.parser import MAX_NESTING
+
+    write_csv(tmp_path / "d.csv", [["x"], ["1"], [""], ["7"]])
+    spec = tmp_path / "s.dq"
+    text = "spec s {{ source d {{ path 'd.csv'; }} object d from d {{ field x integer; rule r: {}; }} }}"
+    spec.write_text(text.format(NESTED_RULES[shape](MAX_NESTING)), encoding="utf-8")
+    assert main(["validate-spec", str(spec)]) == 0
+    assert main(["check", str(spec)]) in (0, 1)
+    assert main(["emit-sql", str(spec)]) == 0
+    capsys.readouterr()
+    deeper = NESTED_RULES[shape](MAX_NESTING + 1)
+    spec.write_text(text.format(deeper), encoding="utf-8")
+    for command in ("validate-spec", "check", "emit-sql"):
+        assert main([command, str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"within {MAX_NESTING} nested" in err, err
+    with pytest.raises(SpecSyntaxError, match=f"within {MAX_NESTING} nested"):
+        parse_expression(deeper)
 
 
 @pytest.mark.parametrize(
@@ -384,6 +424,10 @@ def _filename(name: str):
     return lambda doc, cols: doc["datasets"][0].update(filename=name)
 
 
+def _column_name(name: str):
+    return lambda doc, cols: cols["hours"].update(name=name)
+
+
 # plan edits, and what the one line on standard error must name
 PLAN_EDITS = {
     "infeasible": (_inject("blank", count=20), "20"),
@@ -466,6 +510,26 @@ PLAN_EDITS = {
         ),
         "'terms'",
     ),
+    "plan name outside the output directory": (
+        lambda doc, cols: doc.update(name="../outside"),
+        "the reference spec does not read back: 1:8: expected a token, found character '/'",
+    ),
+    "analysed column named as a keyword": (
+        _column_name("date"),
+        "the reference spec does not read back: 13:11: expected a field name, found 'date'",
+    ),
+    "analysed column named with a blank": (
+        _column_name("my col"),
+        "the reference spec does not read back: 13:14: expected 'text' or 'integer' or 'decimal' or 'date'",
+    ),
+    "threshold named as a keyword": (
+        lambda doc, cols: doc["thresholds"][0].update(name="and"),
+        "the reference spec does not read back: 20:13: expected a threshold name, found 'and'",
+    ),
+    "record rule named with a severity": (
+        lambda doc, cols: doc["record_rules"][0].update(name="terms_need_decision warn"),
+        "the reference spec reads back as another spec",
+    ),
 }
 
 
@@ -480,7 +544,7 @@ def test_gen_infeasible_exit_2(tmp_path, capsys, case):
     assert err.count("\n") == 1 and named in err and "Traceback" not in err, err
     if case != "infeasible":
         assert err.startswith("bad plan: "), err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]  # nothing written, not even beside --out
 
 
 def test_usage_error_exit_2(capsys):
