@@ -181,15 +181,11 @@ _PLAN_PARSERS = {
 
 def _field_type_from_dict(fd: dict) -> ast.FieldType:
     t = fd["type"]
-    if t == "text":
-        return ast.TextType()
-    if t == "integer":
-        return ast.IntegerType()
-    if t == "decimal":
-        return ast.DecimalType()
-    if t == "date":
+    if isinstance(t, str) and t in ast.PLAIN_TYPES:
+        return ast.PLAIN_TYPES[t]()
+    if t == ast.DateType.name:
         return ast.DateType(fmt=fd.get("fmt", "YYYY-MM-DD"))
-    if t == "enum":
+    if t == ast.EnumType.name:
         return ast.EnumType(values=tuple(fd["values"]))
     raise ValueError(f"unknown field type {t!r}")
 

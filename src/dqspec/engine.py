@@ -57,7 +57,7 @@ from .codegen import Evaluator
 from .ingest import DataError, DatasetReader, DialectConfig, csv_rows, open_dataset
 from .lang import ast
 from .lang.checker import ValidatedSpec, spec_hash
-from .values import ASCII_WS, format_decimal
+from .values import ASCII_WS
 
 BLOCK_BYTES = 1 << 20  # bytes per block at jobs > 1; fixed, so blocks never depend on the worker count
 
@@ -181,47 +181,35 @@ class QualityReport:
 
 def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
     """Deterministic translation of a validated spec: one emitter per
-    structure check, type check, constraint and record rule."""
+    structure check, type check, constraint and record rule, named by
+    `ast.rule_ids` in that order."""
     objects = []
     for obj in vspec.ast.objects:
+        ids = iter(ast.rule_ids(obj))
         emitters: list[EmitterMeta] = []
-        fields: list[_FieldSpec] = []
-        emitters.append(
-            EmitterMeta(
-                rule_id=f"{obj.name}.structure",
-                field="",
-                dimension=ast.dimension_for("structure"),
-                severity="error",
-                message="ragged row (unexpected cell count)",
-                is_evaluator=False,
-            )
-        )
-        ref_needs: list[tuple[str, str]] = []
-        for f in obj.fields:
-            type_eidx = len(emitters)
+
+        def emit(kind, field, severity, message, ftype=None) -> int:
+            """Add the emitter of the object's next check; returns its index."""
             emitters.append(
                 EmitterMeta(
-                    rule_id=f"{obj.name}.{f.name}.type",
-                    field=f.name,
-                    dimension=ast.dimension_for("type"),
-                    severity="error",
-                    message=_type_message(f.ftype),
-                    is_evaluator=False,
+                    rule_id=next(ids),
+                    field=field,
+                    dimension=ast.dimension_for(kind, ftype),
+                    severity=severity,
+                    message=message,
+                    is_evaluator=kind not in ("structure", "type"),
                 )
             )
+            return len(emitters) - 1
+
+        emit("structure", "", "error", "ragged row (unexpected cell count)")
+        fields: list[_FieldSpec] = []
+        ref_needs: list[tuple[str, str]] = []
+        for f in obj.fields:
+            type_eidx = emit("type", f.name, "error", f.ftype.message)
             kcons = []
             for c in f.constraints:
-                eidx = len(emitters)
-                emitters.append(
-                    EmitterMeta(
-                        rule_id=f"{obj.name}.{f.name}.{c.kind}",
-                        field=f.name,
-                        dimension=ast.dimension_for(c.kind, f.ftype),
-                        severity=c.severity,
-                        message=_constraint_message(c),
-                        is_evaluator=True,
-                    )
-                )
+                eidx = emit(c.kind, f.name, c.severity, c.message, f.ftype)
                 # arg: the (source, column) of in_reference, the compiled
                 # pattern of matches, the literal's value of min and max,
                 # the length of minlen and maxlen, else None
@@ -242,20 +230,7 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
                     constraints=tuple(kcons),
                 )
             )
-        rules = []
-        for r in obj.rules:
-            eidx = len(emitters)
-            emitters.append(
-                EmitterMeta(
-                    rule_id=f"{obj.name}.{r.name}",
-                    field="",
-                    dimension=ast.dimension_for("rule"),
-                    severity=r.severity,
-                    message=f"record rule '{r.name}' not satisfied",
-                    is_evaluator=True,
-                )
-            )
-            rules.append((eidx, r))
+        rules = [(emit("rule", "", r.severity, f"record rule '{r.name}' not satisfied"), r) for r in obj.rules]
         objects.append(
             ObjectPlan(
                 name=obj.name,
@@ -267,45 +242,6 @@ def compile_plan(vspec: ValidatedSpec) -> CheckPlan:
             )
         )
     return CheckPlan(spec=vspec, objects=tuple(objects), thresholds=vspec.ast.thresholds)
-
-
-def _type_message(ftype: ast.FieldType) -> str:
-    if isinstance(ftype, ast.DateType):
-        return f"value is not a date in format {ftype.fmt}"
-    if isinstance(ftype, ast.EnumType):
-        allowed = ", ".join(ftype.values)
-        return f"value is not one of: {allowed}"
-    if isinstance(ftype, ast.IntegerType):
-        return "value is not a 64-bit integer"
-    if isinstance(ftype, ast.DecimalType):
-        return "value is not a decimal number"
-    return "value does not parse"
-
-
-def _constraint_message(c: ast.FieldConstraint) -> str:
-    if c.kind == "not_null":
-        return "null value"
-    if c.kind == "matches":
-        return f"value does not match pattern '{c.arg}'"
-    if c.kind in ("min", "max"):
-        lit = c.arg
-        if lit.kind == "date":
-            shown = lit.value.isoformat()
-        elif lit.kind == "decimal":
-            shown = format_decimal(lit.value)
-        else:
-            shown = str(lit.value)
-        return ("below minimum " if c.kind == "min" else "above maximum ") + shown
-    if c.kind == "minlen":
-        return f"shorter than {c.arg} characters"
-    if c.kind == "maxlen":
-        return f"longer than {c.arg} characters"
-    if c.kind == "unique":
-        return "duplicate of an earlier record"
-    if c.kind == "in_reference":
-        src, col = c.arg
-        return f"value not found in {src}.{col}"
-    raise ValueError(c.kind)
 
 
 # -------------------------------------------------------------- materialization

@@ -38,6 +38,9 @@ class DialectConfig:
             raise ValueError("delimiter and quote must be single characters")
         if self.delimiter == self.quote:
             raise ValueError("delimiter and quote must differ")
+        if {self.delimiter, self.quote} & {"\r", "\n"}:
+            # csv takes either as the end of a record
+            raise ValueError("delimiter and quote may not be a line break")
 
 
 def csv_rows(lines, dialect: DialectConfig):

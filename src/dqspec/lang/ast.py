@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Union
 
+from ..values import format_decimal
 from .diagnostics import NO_POS, Pos
 
 DEFAULT_DELIMITER = ","
@@ -19,31 +20,55 @@ DEFAULT_NULL_TOKENS = ("",)
 
 # ---------------------------------------------------------------- field types
 
+# Each type carries the keyword that names it, the family of values it
+# compares with, and the message of its type check.
+
 @dataclass(frozen=True)
 class TextType:
-    pass
+    name = "text"
+    family = "text"
+    message = "value does not parse"
 
 
 @dataclass(frozen=True)
 class IntegerType:
-    pass
+    name = "integer"
+    family = "numeric"
+    message = "value is not a 64-bit integer"
 
 
 @dataclass(frozen=True)
 class DecimalType:
-    pass
+    name = "decimal"
+    family = "numeric"
+    message = "value is not a decimal number"
 
 
 @dataclass(frozen=True)
 class DateType:
     fmt: str = "YYYY-MM-DD"
+    name = "date"
+    family = "date"
+
+    @property
+    def message(self) -> str:
+        return f"value is not a date in format {self.fmt}"
 
 
 @dataclass(frozen=True)
 class EnumType:
     values: tuple[str, ...]
+    name = "enum"
+    family = "text"
+
+    @property
+    def message(self) -> str:
+        return f"value is not one of: {', '.join(self.values)}"
 
 
+FIELD_TYPES = (TextType, IntegerType, DecimalType, DateType, EnumType)
+# the types that are their keyword alone
+PLAIN_TYPES = {t.name: t for t in (TextType, IntegerType, DecimalType)}
 FieldType = Union[TextType, IntegerType, DecimalType, DateType, EnumType]
 
 
@@ -123,12 +148,15 @@ class SourceDecl:
 
 @dataclass(frozen=True)
 class FieldConstraint:
-    kind: str  # not_null matches min max minlen maxlen unique in_reference
-    # matches: pattern str; min/max: Lit; minlen/maxlen: int;
-    # in_reference: (source, column); not_null/unique: None
-    arg: object = None
+    kind: str  # a key of CONSTRAINTS
+    arg: object = None  # the value of the kind's argument; see ConstraintKind
     severity: str = "error"
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+
+    @property
+    def message(self) -> str:
+        """The message of this constraint's violations."""
+        return CONSTRAINTS[self.kind].message.format(_shown(self.arg))
 
 
 @dataclass(frozen=True)
@@ -178,16 +206,45 @@ class SpecAst:
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-CONSTRAINT_KINDS = (
-    "not_null",
-    "matches",
-    "min",
-    "max",
-    "minlen",
-    "maxlen",
-    "unique",
-    "in_reference",
-)
+@dataclass(frozen=True)
+class ConstraintKind:
+    """A constraint kind: the keywords that spell it, the kind of
+    argument that follows them, its quality dimension and the message of
+    its violations, where "{}" shows the argument.
+
+    Argument kinds and their values: "" none (None), "string" a pattern
+    (str), "literal" a bound (Lit), "count" a length (int), "ref" a
+    (source, column) pair."""
+
+    words: str
+    arg: str
+    dimension: str
+    message: str
+
+
+# Every constraint kind, in the order the parser tries them.
+CONSTRAINTS = {
+    "not_null": ConstraintKind("not null", "", "completeness", "null value"),
+    "matches": ConstraintKind("matches", "string", "validity", "value does not match pattern '{}'"),
+    "min": ConstraintKind("min", "literal", "validity", "below minimum {}"),
+    "max": ConstraintKind("max", "literal", "validity", "above maximum {}"),
+    "minlen": ConstraintKind("minlen", "count", "validity", "shorter than {} characters"),
+    "maxlen": ConstraintKind("maxlen", "count", "validity", "longer than {} characters"),
+    "unique": ConstraintKind("unique", "", "uniqueness", "duplicate of an earlier record"),
+    "in_reference": ConstraintKind("in", "ref", "consistency", "value not found in {}"),
+}
+CONSTRAINT_KINDS = tuple(CONSTRAINTS)
+
+
+def _shown(arg) -> str:
+    """An argument as a message shows it: a pattern as written, a bound
+    in plain notation, a reference as source.column."""
+    if isinstance(arg, Lit):
+        return format_decimal(arg.value) if arg.kind == "decimal" else str(arg.value)
+    if isinstance(arg, tuple):
+        return ".".join(arg)
+    return str(arg)
+
 
 # Rule names an object may not use because the engine reserves the id.
 RESERVED_RULE_NAMES = ("structure",)
@@ -203,50 +260,29 @@ def rule_ids(obj: ObjectDecl) -> list[str]:
     return ids + [f"{obj.name}.{r.name}" for r in obj.rules]
 
 
+# the dimension of each check that is not a constraint
+_CHECK_DIMENSIONS = {"structure": "validity", "type": "validity", "rule": "consistency"}
+
+
 def dimension_for(kind: str, ftype: FieldType | None = None) -> str:
-    """Quality dimension for a constraint kind (total over all kinds).
+    """Quality dimension of a constraint kind or of a "structure", "type"
+    or "rule" check.
 
     Bounds on date fields measure timeliness; every other bound is a
     validity check. Cross-field rules and cross-dataset references are
     consistency checks.
     """
-    if kind == "not_null":
-        return "completeness"
-    if kind == "unique":
-        return "uniqueness"
-    if kind in ("type", "matches", "minlen", "maxlen", "structure"):
-        return "validity"
-    if kind in ("min", "max"):
-        return "timeliness" if isinstance(ftype, DateType) else "validity"
-    if kind in ("in_reference", "rule"):
-        return "consistency"
+    if kind in ("min", "max") and isinstance(ftype, DateType):
+        return "timeliness"
+    if kind in CONSTRAINTS:
+        return CONSTRAINTS[kind].dimension
+    if kind in _CHECK_DIMENSIONS:
+        return _CHECK_DIMENSIONS[kind]
     raise ValueError(f"unknown constraint kind {kind!r}")
-
-
-def type_name(ftype: FieldType) -> str:
-    if isinstance(ftype, TextType):
-        return "text"
-    if isinstance(ftype, IntegerType):
-        return "integer"
-    if isinstance(ftype, DecimalType):
-        return "decimal"
-    if isinstance(ftype, DateType):
-        return "date"
-    if isinstance(ftype, EnumType):
-        return "enum"
-    raise ValueError(f"not a field type: {ftype!r}")
 
 
 def literal_family(lit: Lit) -> str:
     return {"int": "numeric", "decimal": "numeric", "text": "text", "date": "date"}[lit.kind]
-
-
-def type_family(ftype: FieldType) -> str:
-    if isinstance(ftype, (IntegerType, DecimalType)):
-        return "numeric"
-    if isinstance(ftype, DateType):
-        return "date"
-    return "text"
 
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 
 from .. import patterns as pat
+from ..ingest import DialectConfig
 from ..values import DateFormat, compile_date_format
 from . import ast
 from .diagnostics import SemanticIssue, SpecValidationError
@@ -44,12 +45,10 @@ def check_spec(spec: ast.SpecAst) -> ValidatedSpec:
             bad("DuplicateName", src.pos, f"source '{src.name}' declared twice")
         else:
             source_map[src.name] = src
-        if len(src.delimiter) != 1:
-            bad("InvalidDialect", src.pos, f"delimiter must be one character, got {src.delimiter!r}")
-        if len(src.quote) != 1:
-            bad("InvalidDialect", src.pos, f"quote must be one character, got {src.quote!r}")
-        if src.delimiter == src.quote:
-            bad("InvalidDialect", src.pos, "delimiter and quote must differ")
+        try:
+            DialectConfig(src.delimiter, src.quote, src.has_header, src.null_tokens)
+        except ValueError as exc:
+            bad("InvalidDialect", src.pos, f"source '{src.name}': {exc}")
 
     compiled_patterns: dict[str, re.Pattern] = {}
     compiled_formats: dict[str, DateFormat] = {}
@@ -145,13 +144,13 @@ def _check_field(obj, f, src, source_map, bad, check_pattern, compiled_formats):
         except ValueError as exc:
             bad("BadDateFormat", f.pos, f"field '{f.name}': {exc}")
 
-    fam = ast.type_family(f.ftype)
+    fam = f.ftype.family
     bounds: dict[str, ast.Lit] = {}
     lens: dict[str, int] = {}
     for c in f.constraints:
         if c.kind == "matches":
             if fam != "text":
-                bad("TypeMismatch", c.pos, f"'matches' needs a text or enum field, '{f.name}' is {ast.type_name(f.ftype)}")
+                bad("TypeMismatch", c.pos, f"'matches' needs a text or enum field, '{f.name}' is {f.ftype.name}")
             check_pattern(c.arg, c.pos)
         elif c.kind in ("min", "max"):
             if fam == "text":
@@ -172,9 +171,15 @@ def _check_field(obj, f, src, source_map, bad, check_pattern, compiled_formats):
             else:
                 lens[c.kind] = c.arg
         elif c.kind == "in_reference":
-            ref_src, _ref_col = c.arg
+            ref_src, ref_col = c.arg
             if ref_src not in source_map:
                 bad("UnknownSource", c.pos, f"field '{f.name}' references undeclared source '{ref_src}'")
+            elif not source_map[ref_src].has_header:
+                bad(
+                    "InvalidColumn",
+                    c.pos,
+                    f"field '{f.name}': source '{ref_src}' has no header; cannot bind column '{ref_col}'",
+                )
         elif c.kind not in ("not_null", "unique"):
             bad("TypeMismatch", c.pos, f"unknown constraint kind {c.kind!r}")
     if "min" in bounds and "max" in bounds and bounds["min"].value > bounds["max"].value:
@@ -189,7 +194,7 @@ def _operand_family(op, field_types, bad) -> str | None:
         if ftype is None:
             bad("UnknownField", op.pos, f"unknown field '{op.name}'")
             return None
-        return ast.type_family(ftype)
+        return ftype.family
     return ast.literal_family(op)
 
 

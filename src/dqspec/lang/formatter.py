@@ -75,31 +75,15 @@ def _ftype_text(t: ast.FieldType) -> str:
     if isinstance(t, ast.EnumType):
         vals = ", ".join(escape_string(v) for v in t.values)
         return f"enum({vals})"
-    return ast.type_name(t)
+    return t.name
 
 
 def _constraint_text(c: ast.FieldConstraint) -> str:
+    con = ast.CONSTRAINTS[c.kind]
     prefix = "warn " if c.severity == "warning" else ""
-    if c.kind == "not_null":
-        body = "not null"
-    elif c.kind == "matches":
-        body = f"matches {escape_string(c.arg)}"
-    elif c.kind == "min":
-        body = f"min {_literal_text(c.arg)}"
-    elif c.kind == "max":
-        body = f"max {_literal_text(c.arg)}"
-    elif c.kind == "minlen":
-        body = f"minlen {c.arg}"
-    elif c.kind == "maxlen":
-        body = f"maxlen {c.arg}"
-    elif c.kind == "unique":
-        body = "unique"
-    elif c.kind == "in_reference":
-        src, col = c.arg
-        body = f"in {src}.{col}"
-    else:
-        raise ValueError(f"unknown constraint kind {c.kind!r}")
-    return prefix + body
+    if not con.arg:
+        return prefix + con.words
+    return f"{prefix}{con.words} {_ARGUMENT_TEXT[con.arg](c.arg)}"
 
 
 def _literal_text(lit: ast.Lit) -> str:
@@ -114,6 +98,10 @@ def _literal_text(lit: ast.Lit) -> str:
     if lit.kind == "date":
         return f"date {escape_string(lit.value.isoformat())}"
     raise ValueError(f"unknown literal kind {lit.kind!r}")
+
+
+# argument kind -> the text of an argument of that kind
+_ARGUMENT_TEXT = {"string": escape_string, "literal": _literal_text, "count": str, "ref": ".".join}
 
 
 def _operand_text(op) -> str:

@@ -221,21 +221,17 @@ class _Parser:
         return ast.FieldDecl(name=name, ftype=ftype, column=column, constraints=tuple(constraints), pos=t.pos)
 
     def field_type(self) -> ast.FieldType:
-        if self.eat_kw("text"):
-            return ast.TextType()
-        if self.eat_kw("integer"):
-            return ast.IntegerType()
-        if self.eat_kw("decimal"):
-            return ast.DecimalType()
-        if self.eat_kw("date"):
-            if self.at_kw("iso"):
-                self.next()
+        t = self.peek()
+        if t.kind == "ident" and t.text in ast.PLAIN_TYPES:
+            self.next()
+            return ast.PLAIN_TYPES[t.text]()
+        if self.eat_kw(ast.DateType.name):
+            if self.eat_kw("iso"):
                 return ast.DateType()
             if self.peek().kind == "string":
                 return ast.DateType(fmt=self.next().value)
             return ast.DateType()
-        if self.at_kw("enum"):
-            self.next()
+        if self.eat_kw(ast.EnumType.name):
             self.expect_sym("(")
             values = [self.expect_string().value]
             while self.at_sym(","):
@@ -243,38 +239,33 @@ class _Parser:
                 values.append(self.expect_string().value)
             self.expect_sym(")")
             return ast.EnumType(values=tuple(values))
-        self.fail(["'text'", "'integer'", "'decimal'", "'date'", "'enum'"])
+        self.fail([f"'{cls.name}'" for cls in ast.FIELD_TYPES])
 
     def constraint(self) -> ast.FieldConstraint:
         t = self.peek()
         severity = "warning" if self.eat_kw("warn") else "error"
-        if self.eat_kw("not"):
-            self.expect_kw("null")
-            return ast.FieldConstraint("not_null", None, severity, t.pos)
-        if self.eat_kw("matches"):
-            return ast.FieldConstraint("matches", self.expect_string().value, severity, t.pos)
-        if self.eat_kw("min"):
-            return ast.FieldConstraint("min", self.bound_literal(), severity, t.pos)
-        if self.eat_kw("max"):
-            return ast.FieldConstraint("max", self.bound_literal(), severity, t.pos)
-        if self.eat_kw("minlen"):
-            return ast.FieldConstraint("minlen", self.expect_int().value, severity, t.pos)
-        if self.eat_kw("maxlen"):
-            return ast.FieldConstraint("maxlen", self.expect_int().value, severity, t.pos)
-        if self.eat_kw("unique"):
-            return ast.FieldConstraint("unique", None, severity, t.pos)
-        if self.eat_kw("in"):
+        for kind, con in ast.CONSTRAINTS.items():
+            first, *rest = con.words.split()
+            if self.eat_kw(first):
+                for word in rest:
+                    self.expect_kw(word)
+                return ast.FieldConstraint(kind, self.argument(con.arg), severity, t.pos)
+        self.fail([f"'{con.words}'" for con in ast.CONSTRAINTS.values()] + ["';'"])
+
+    def argument(self, arg_kind: str):
+        """The argument of a constraint, read as its kind says (see
+        ast.ConstraintKind)."""
+        if arg_kind == "string":
+            return self.expect_string().value
+        if arg_kind == "literal":
+            return self.literal(["a number", "a string", "a date literal"])
+        if arg_kind == "count":
+            return self.expect_int().value
+        if arg_kind == "ref":
             src = self.expect_ident("a source name").text
             self.expect_sym(".")
-            col = self.expect_ident("a column name").text
-            return ast.FieldConstraint("in_reference", (src, col), severity, t.pos)
-        self.fail(
-            ["'not null'", "'matches'", "'min'", "'max'", "'minlen'",
-             "'maxlen'", "'unique'", "'in'", "';'"]
-        )
-
-    def bound_literal(self) -> ast.Lit:
-        return self.literal(["a number", "a string", "a date literal"])
+            return (src, self.expect_ident("a column name").text)
+        return None
 
     def rule_decl(self) -> ast.RecordRuleDecl:
         t = self.expect_kw("rule")

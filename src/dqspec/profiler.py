@@ -335,7 +335,7 @@ def suggest_spec(
         if p.non_null > 0 and p.unique_values:
             constraints.append(ast.FieldConstraint("unique"))
             fnotes.append(f"unique: {p.distinct} distinct of {p.non_null} non-null")
-        tname = ast.type_name(ftype)
+        tname = ftype.name
         if isinstance(ftype, ast.DateType):
             fnotes.append(f"type date {ftype.fmt}: {p.dates[ftype.fmt]} of {p.non_null} agree")
         elif p.non_null:

@@ -82,7 +82,7 @@ def rand_ftype(rng: random.Random) -> ast.FieldType:
 
 
 def rand_constraint(rng: random.Random, ftype: ast.FieldType, sources: list[str]) -> ast.FieldConstraint | None:
-    fam = ast.type_family(ftype)
+    fam = ftype.family
     severity = "warning" if rng.random() < 0.25 else "error"
     kinds = ["not_null", "unique"]
     if fam == "text":
@@ -119,14 +119,14 @@ def rand_expr(rng: random.Random, fields: list[ast.FieldDecl], depth: int = 2) -
 
 def rand_predicate(rng: random.Random, fields: list[ast.FieldDecl]) -> ast.BoolExpr:
     f = rng.choice(fields)
-    fam = ast.type_family(f.ftype)
+    fam = f.ftype.family
     k = rng.randrange(4)
     if k == 0:
         return ast.NullTest(operand=ast.FieldRef(f.name), negated=rng.random() < 0.5)
     if k == 1 and fam == "text":
         return ast.MatchTest(operand=ast.FieldRef(f.name), pattern=rng.choice(PATTERN_POOL))
     op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-    partners = [g for g in fields if ast.type_family(g.ftype) == fam]
+    partners = [g for g in fields if g.ftype.family == fam]
     if rng.random() < 0.4 and len(partners) > 1:
         other = rng.choice([g for g in partners if g.name != f.name] or partners)
         return ast.Cmp(op=op, lhs=ast.FieldRef(f.name), rhs=ast.FieldRef(other.name))
@@ -263,7 +263,7 @@ def rand_executable_spec(rng: random.Random) -> ast.SpecAst:
     n_fields = rng.randrange(2, 7)
     for _ in range(n_fields):
         ftype = rand_ftype(rng)
-        fam = ast.type_family(ftype)
+        fam = ftype.family
         cons: list[ast.FieldConstraint] = []
         if rng.random() < 0.55:
             cons.append(ast.FieldConstraint("not_null", None, rng.choice(["error", "error", "warning"])))

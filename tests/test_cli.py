@@ -289,6 +289,8 @@ def test_rule_nesting_is_bounded(tmp_path, capsys, shape):
         ["check", "{spec}", "--data", "nope=x.csv"],
         ["emit-sql", "{spec}", "--tables", "d"],
         ["profile", "{data}", "--delimiter", ";;"],
+        ["profile", "{data}", "--delimiter", "\r"],
+        ["profile", "{data}", "--quote", "\n"],
     ],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, argv):
@@ -296,6 +298,42 @@ def test_bad_option_values_exit_2(tmp_path, capsys, argv):
     assert main([a.format(spec=spec, data=data) for a in argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+# a spec whose data no reader could bind or read as written -> its issue code
+UNREADABLE_SPECS = {
+    **{
+        f"{prop} {name}": (
+            f"source d {{ path 'd.csv'; {prop} '{escape}'; header false; }}"
+            " object d from d { field x column 1 text; }",
+            "InvalidDialect",
+        )
+        for prop in ("delimiter", "quote")
+        for name, escape in (("line feed", "\\n"), ("carriage return", "\\r"))
+    },
+    "reference source without a header": (
+        "source d { path 'd.csv'; } source r { path 'r.csv'; header false; }"
+        " object d from d { field x text in r.code; }",
+        "InvalidColumn",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_SPECS)
+def test_unreadable_source_exit_2(tmp_path, capsys, case):
+    """csv ends a record at a CR or LF, so neither may delimit or quote
+    cells, and a headerless source has no column names to look values up
+    in: the checker rejects both, so no command misreads the data or
+    fails only once it opens the files."""
+    body, code = UNREADABLE_SPECS[case]
+    write_csv(tmp_path / "d.csv", [["x"], ["a,b"]])
+    write_csv(tmp_path / "r.csv", [["a"]])
+    spec = tmp_path / "s.dq"
+    spec.write_text(f"spec s {{ {body} }}", encoding="utf-8")
+    for command in ("validate-spec", "check", "emit-sql"):
+        assert main([command, str(spec)]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and f": {code}: " in out.err and "Traceback" not in out.err, out.err
 
 
 def test_engine_bug_is_not_an_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
 """Parser, checker and diagnostics."""
 
+import itertools
 import random
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +15,10 @@ from dqspec.lang import (
     SpecValidationError,
     ast,
     check_spec,
+    format_spec,
     parse_spec,
 )
-from dqspec.lang.lexer import escape_string
+from dqspec.lang.lexer import KEYWORDS, escape_string
 from randgen import rand_executable_spec
 
 MINIMAL = """
@@ -262,6 +266,11 @@ def test_headerless_needs_index_binding():
     _checked(
         "spec s { source f { path 'p'; header false; } object o from f { field x column 1 text; } }"
     )
+    # a column of a reference source binds by name only
+    assert "InvalidColumn" in _codes(
+        "spec s { source f { path 'p'; } source r { path 'r'; header false; }"
+        " object o from f { field x text in r.code; } }"
+    )
 
 
 def test_empty_object_program_ast():
@@ -323,3 +332,107 @@ def test_dimension_mapping_total():
     assert ast.dimension_for("min", ast.IntegerType()) == "validity"
     assert ast.dimension_for("rule") == "consistency"
     assert ast.dimension_for("type") == "validity"
+
+
+# every constraint kind, one as a warning, and every field type
+VOCABULARY = """spec vocab {
+
+  source people {
+    path 'people.csv';
+  }
+
+  source codes {
+    path 'codes.csv';
+  }
+
+  object person from people {
+    field id integer not null unique min 1 max 999999;
+    field name text matches '[A-Z][a-z]+' minlen 2 warn maxlen 40;
+    field score decimal min -1.5 max 100.0;
+    field born date min date '1900-01-01' max date '2025-12-31';
+    field seen date 'DD.MM.YYYY';
+    field kind enum('a', 'b') in codes.code;
+    rule scored: score >= 0 or score is null;
+  }
+}
+"""
+
+# (rule_id, field, dimension, severity, message) of each emitter
+VOCABULARY_EMITTERS = [
+    ("person.structure", "", "validity", "error", "ragged row (unexpected cell count)"),
+    ("person.id.type", "id", "validity", "error", "value is not a 64-bit integer"),
+    ("person.id.not_null", "id", "completeness", "error", "null value"),
+    ("person.id.unique", "id", "uniqueness", "error", "duplicate of an earlier record"),
+    ("person.id.min", "id", "validity", "error", "below minimum 1"),
+    ("person.id.max", "id", "validity", "error", "above maximum 999999"),
+    ("person.name.type", "name", "validity", "error", "value does not parse"),
+    ("person.name.matches", "name", "validity", "error", "value does not match pattern '[A-Z][a-z]+'"),
+    ("person.name.minlen", "name", "validity", "error", "shorter than 2 characters"),
+    ("person.name.maxlen", "name", "validity", "warning", "longer than 40 characters"),
+    ("person.score.type", "score", "validity", "error", "value is not a decimal number"),
+    ("person.score.min", "score", "validity", "error", "below minimum -1.5"),
+    ("person.score.max", "score", "validity", "error", "above maximum 100.0"),
+    ("person.born.type", "born", "validity", "error", "value is not a date in format YYYY-MM-DD"),
+    ("person.born.min", "born", "timeliness", "error", "below minimum 1900-01-01"),
+    ("person.born.max", "born", "timeliness", "error", "above maximum 2025-12-31"),
+    ("person.seen.type", "seen", "validity", "error", "value is not a date in format DD.MM.YYYY"),
+    ("person.kind.type", "kind", "validity", "error", "value is not one of: a, b"),
+    ("person.kind.in_reference", "kind", "consistency", "error", "value not found in codes.code"),
+    ("person.scored", "", "consistency", "error", "record rule 'scored' not satisfied"),
+]
+
+
+def test_vocabulary_is_pinned():
+    """The words, dimension and message of every constraint kind and
+    field type, as the parser, the formatter and the plan use them."""
+    spec = parse_spec(VOCABULARY)
+    assert format_spec(spec) == VOCABULARY
+    fields = spec.objects[0].fields
+    assert {c.kind for f in fields for c in f.constraints} == set(ast.CONSTRAINT_KINDS)
+    assert {type(f.ftype) for f in fields} == set(ast.FIELD_TYPES)
+    plan = compile_plan(check_spec(spec))
+    emitters = [(m.rule_id, m.field, m.dimension, m.severity, m.message) for m in plan.objects[0].emitters]
+    assert emitters == VOCABULARY_EMITTERS
+    for con in ast.CONSTRAINTS.values():
+        assert set(con.words.split()) <= KEYWORDS, con
+
+
+GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "grammar.ebnf"
+# what follows a constraint's words in the grammar, by argument kind
+GRAMMAR_ARGUMENTS = {
+    "": [],
+    "string": ["string"],
+    "literal": ["literal"],
+    "count": ["integer"],
+    "ref": ["identifier", '"."', "identifier"],
+}
+
+
+def _alternatives(name: str) -> list[list[str]]:
+    """The top-level alternatives of one production of the grammar, each
+    as its list of items, comments and commas dropped."""
+    text = re.sub(r"\(\*.*?\*\)", " ", GRAMMAR.read_text(encoding="utf-8"), flags=re.S)
+    rhs = re.search(rf"^{name}\s*=(.*?);\s*$", text, re.M | re.S).group(1)
+    alts: list[list[str]] = [[]]
+    depth = 0
+    for item in re.findall(r'"[^"]*"|\w+|\S', rhs):
+        depth += (item in ("(", "[", "{")) - (item in (")", "]", "}"))
+        if item == "|" and depth == 0:
+            alts.append([])
+        elif item != ",":
+            alts[-1].append(item)
+    return alts
+
+
+def test_grammar_doc_matches_the_code():
+    """docs/grammar.ebnf spells the keywords, the constraint kinds in
+    ast.CONSTRAINTS order and the field types as the code does."""
+    keywords = [alt[0].strip('"') for alt in _alternatives("keyword")]
+    assert sorted(keywords) == sorted(KEYWORDS)
+    bodies = _alternatives("constraint_body")
+    assert len(bodies) == len(ast.CONSTRAINTS)
+    for alt, con in zip(bodies, ast.CONSTRAINTS.values()):
+        words = list(itertools.takewhile(lambda item: item.startswith('"'), alt))
+        assert " ".join(w.strip('"') for w in words) == con.words, alt
+        assert alt[len(words):] == GRAMMAR_ARGUMENTS[con.arg], alt
+    assert [alt[0].strip('"') for alt in _alternatives("field_type")] == [t.name for t in ast.FIELD_TYPES]
