@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
+from .ingest import ASCII_WS
 from .lang import ast
-from .values import ASCII_WS, parse_date_text, parse_decimal, parse_int
+from .values import parse_date_text, parse_decimal, parse_int
 
 # names the factory receives, in order; apart from builtins the generated
 # code uses no others

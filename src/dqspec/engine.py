@@ -54,10 +54,9 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from .codegen import Evaluator
-from .ingest import DataError, DatasetReader, DialectConfig, csv_rows, open_dataset
+from .ingest import ASCII_WS, DataError, DatasetReader, DialectConfig, csv_rows, open_dataset
 from .lang import ast
 from .lang.checker import ValidatedSpec, spec_hash
-from .values import ASCII_WS
 
 BLOCK_BYTES = 1 << 20  # bytes per block at jobs > 1; fixed, so blocks never depend on the worker count
 

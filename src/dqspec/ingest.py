@@ -1,4 +1,6 @@
-"""CSV ingestion: dialects and the forward reader over one CSV file.
+"""CSV ingestion: dialects and the forward reader over one CSV file, and
+the one quoting rule that the flagged protocol and generated corpora
+write with (`csv_line`).
 
 Readers stream one record at a time and deliver dense 1-based record
 ordinals; `DatasetReader.seek` moves a reader to a known record
@@ -26,6 +28,10 @@ class HeaderMissingColumn(DataError):
     pass
 
 
+# what a cell is trimmed of before null-token matching and parsing
+ASCII_WS = " \t\r\n\f\v"
+
+
 @dataclass(frozen=True)
 class DialectConfig:
     delimiter: str = ","
@@ -41,6 +47,10 @@ class DialectConfig:
         if {self.delimiter, self.quote} & {"\r", "\n"}:
             # csv takes either as the end of a record
             raise ValueError("delimiter and quote may not be a line break")
+        for tok in self.null_tokens:
+            if tok != tok.strip(ASCII_WS):
+                # a trimmed cell can never equal it
+                raise ValueError(f"null token {tok!r} may not begin or end with whitespace")
 
 
 def csv_rows(lines, dialect: DialectConfig):
@@ -48,6 +58,23 @@ def csv_rows(lines, dialect: DialectConfig):
     strict: an unclosed quote or text after a closing quote raises
     csv.Error instead of being read as some other record."""
     return csv.reader(lines, delimiter=dialect.delimiter, quotechar=dialect.quote, strict=True)
+
+
+def csv_field(text: str) -> str:
+    """One field as the flagged protocol and generated corpora write it:
+    quoted, with inner quotes doubled, when it holds a comma, a quote, a
+    CR or an LF; otherwise as it is."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(*fields) -> str:
+    """One record of `csv_field`s. A record of one empty field is `""`,
+    as csv.writer writes it, since an empty line reads back as no field."""
+    if fields == ("",):
+        return '""\n'
+    return ",".join([csv_field(str(f)) for f in fields]) + "\n"
 
 
 class DatasetReader:

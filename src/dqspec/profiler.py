@@ -39,11 +39,11 @@ from fractions import Fraction
 from itertools import islice, repeat
 from operator import neg
 
-from .ingest import DatasetReader, DialectConfig
+from .ingest import ASCII_WS, DatasetReader, DialectConfig
 from .lang import ast
 from .lang.formatter import format_spec
 from .lang.lexer import KEYWORDS, escape_string
-from .values import ASCII_WS, compile_date_format, parse_date_text, parse_decimal, parse_int
+from .values import compile_date_format, parse_date_text, parse_decimal, parse_int
 
 DATE_PRESETS = ("YYYY-MM-DD", "DD.MM.YYYY", "DD/MM/YYYY")
 _PRESET_FORMATS = tuple(compile_date_format(f) for f in DATE_PRESETS)

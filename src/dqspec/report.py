@@ -19,6 +19,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .engine import QualityReport, RuleStat, ThresholdVerdict, Violation
+from .ingest import csv_field, csv_line
 
 SCHEMA_VERSION = 1
 
@@ -199,18 +200,6 @@ def parse_report(data: bytes | str) -> QualityReport:
 
 # ------------------------------------------------------------ flagged protocol
 
-def _csv_field(text: str) -> str:
-    """One protocol field: quoted, with inner quotes doubled, when it
-    holds a comma, a quote, a CR or an LF; otherwise as it is."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_line(*fields) -> str:
-    return ",".join([_csv_field(str(f)) for f in fields]) + "\n"
-
-
 class FlaggedWriter:
     """CSV sink for the flagged-record protocol.
 
@@ -260,7 +249,7 @@ class FlaggedWriter:
         try:
             if self._tmp and st is not None:
                 os.chmod(self._tmp, stat.S_IMODE(st.st_mode))
-            self._fh.write(_csv_line(*FLAGGED_HEADER))
+            self._fh.write(csv_line(*FLAGGED_HEADER))
         except BaseException:
             self._discard()
             raise
@@ -271,7 +260,7 @@ class FlaggedWriter:
         if self._cap is not None and n > self._cap:
             return False
         self._fh.write(
-            _csv_line(v.record_ordinal, v.rule_id, v.field, v.raw_value, v.severity, v.message)
+            csv_line(v.record_ordinal, v.rule_id, v.field, v.raw_value, v.severity, v.message)
         )
         self.written += 1
         return True
@@ -282,7 +271,7 @@ class FlaggedWriter:
         """The `emit(ordinal, viols)` function of one object pass over
         `emitters`, for `engine.run`."""
         write = self._fh.write
-        field = _csv_field
+        field = csv_field
         heads = [f"{field(m.rule_id)},{field(m.field)}," for m in emitters]
         tails = [f",{field(m.severity)},{field(m.message)}\n" for m in emitters]
         cap = math.inf if self._cap is None else self._cap
@@ -311,7 +300,7 @@ class FlaggedWriter:
                     omitted = n - self._cap
                     if omitted > 0:
                         message = f"truncated: {omitted} more violations"
-                        self._fh.write(_csv_line("", rule_id, "", "", "info", message))
+                        self._fh.write(csv_line("", rule_id, "", "", "info", message))
             if self._own:
                 self._fh.close()
                 if self._tmp:

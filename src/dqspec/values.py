@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 
-ASCII_WS = " \t\r\n\f\v"
-
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 

@@ -212,7 +212,7 @@ def test_c6_sql_equivalence(register_corpus, register_run):
     import sqlite3
 
     from dqspec import sqlgen
-    from dqspec.values import ASCII_WS
+    from dqspec.ingest import ASCII_WS
 
     _plan, result = register_corpus
     rep, _viols, _elapsed, _result = register_run

@@ -291,6 +291,8 @@ def test_rule_nesting_is_bounded(tmp_path, capsys, shape):
         ["profile", "{data}", "--delimiter", ";;"],
         ["profile", "{data}", "--delimiter", "\r"],
         ["profile", "{data}", "--quote", "\n"],
+        ["profile", "{data}", "--null-token", "NA "],
+        ["profile", "{data}", "--null-token", "NA", "--null-token", "\tNA"],
     ],
 )
 def test_bad_option_values_exit_2(tmp_path, capsys, argv):
@@ -311,6 +313,13 @@ UNREADABLE_SPECS = {
         for prop in ("delimiter", "quote")
         for name, escape in (("line feed", "\\n"), ("carriage return", "\\r"))
     },
+    **{
+        f"null token with {name}": (
+            f"source d {{ path 'd.csv'; null_token '{token}'; }} object d from d {{ field x text; }}",
+            "InvalidDialect",
+        )
+        for name, token in (("a trailing blank", "NA "), ("a leading tab", "\\tNA"))
+    },
     "reference source without a header": (
         "source d { path 'd.csv'; } source r { path 'r.csv'; header false; }"
         " object d from d { field x text in r.code; }",
@@ -322,9 +331,10 @@ UNREADABLE_SPECS = {
 @pytest.mark.parametrize("case", UNREADABLE_SPECS)
 def test_unreadable_source_exit_2(tmp_path, capsys, case):
     """csv ends a record at a CR or LF, so neither may delimit or quote
-    cells, and a headerless source has no column names to look values up
-    in: the checker rejects both, so no command misreads the data or
-    fails only once it opens the files."""
+    cells; cells are trimmed, so a null token with blanks around it never
+    matches; and a headerless source has no column names to look values
+    up in: the checker rejects all three, so no command misreads the data
+    or fails only once it opens the files."""
     body, code = UNREADABLE_SPECS[case]
     write_csv(tmp_path / "d.csv", [["x"], ["a,b"]])
     write_csv(tmp_path / "r.csv", [["a"]])
@@ -567,6 +577,14 @@ PLAN_EDITS = {
     "record rule named with a severity": (
         lambda doc, cols: doc["record_rules"][0].update(name="terms_need_decision warn"),
         "the reference spec reads back as another spec",
+    ),
+    "injection that is not an object": (
+        lambda doc, cols: doc.update(injections=[5]),
+        "an injection must be a JSON object, got 5",
+    ),
+    "enum value that is not a string": (
+        lambda doc, cols: cols["decision"]["field"].update(type="enum", values=["approved", 5]),
+        "enum value 5 is not a string",
     ),
 }
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dqspec import corpus, engine
-from helpers import load_plan, violations_by_rule
+from helpers import load_plan, run_spec, violations_by_rule
 
 
 def _tiny_register(records=800, divisor=400, seed=5):
@@ -379,3 +379,87 @@ def test_iso_date_text_matches_the_general_format():
     iso, slashed = (date_writer(compile_date_format(f)) for f in ("YYYY-MM-DD", "YYYY/MM/DD"))
     for d in (date(1, 1, 1), date(999, 12, 31), date(1200, 2, 9), date(2018, 5, 31), date(9999, 12, 31)):
         assert iso(d) == slashed(d).replace("/", "-"), d
+
+
+def test_a_bare_cr_in_a_cell_is_quoted(tmp_path):
+    """csv.writer with an LF line end leaves a bare CR unquoted, and csv
+    reads it back as a record end. The corpus writer quotes it, so the
+    check reads the records the manifest counts."""
+    columns = (
+        corpus.ColumnPlan("a", {"kind": "fixed", "value": "x\ry"}, {"type": "text"}),
+        corpus.ColumnPlan("b", {"kind": "seq"}, {"type": "text"}),
+    )
+    dataset = corpus.DatasetPlan(name="d", filename="d.csv", records=3, columns=columns)
+    res = corpus.generate(corpus.CorpusPlan(name="p", seed=1, object_dataset="d", datasets=(dataset,)), tmp_path)
+    rep = run_spec(res.spec_path)
+    assert rep.sources == (("d", 3),) and res.manifest.records == 3
+    assert rep.rule("d.structure").count == 0
+    assert _column_values(res, "d") == {"a": ["x\ry"] * 3, "b": ["1", "2", "3"]}
+
+
+# cell pieces with no quoting need, and the ones csv quotes
+_PLAIN_PIECES = ("", "a", "Zz9", " ", "  pad  ", "ā", "Ž", "ß", "\0", "-1.5")
+_QUOTED_PIECES = (",", '"', "\n", "\r\n", "\r", '""')
+
+
+def test_chunk_writer_matches_csv_writer_and_reads_back(tmp_path):
+    """Seeded differential: every chunk's bytes equal csv.writer's
+    wherever no cell holds a CR (which csv.writer leaves unquoted), and
+    every file reads back through ingest.csv_rows to exactly its cells."""
+    import csv
+    import io
+
+    from dqspec.ingest import DialectConfig, csv_line, csv_rows
+
+    rng = random.Random(32)
+    # no piece that needs quoting, each such piece alone, or all of them
+    extras = ((),) * 4 + tuple((p,) for p in _QUOTED_PIECES) + (_QUOTED_PIECES,)
+    for trial in range(500):
+        ncols = rng.choice((0, 1, 1, 2, 3, 6))
+        count = rng.randint(1, 40)
+        pieces = _PLAIN_PIECES + rng.choice(extras)
+        cols = [
+            ["".join(rng.choices(pieces, k=rng.randint(0, 3))) for _ in range(count)] for _ in range(ncols)
+        ]
+        rows = list(zip(*cols)) if cols else [()] * count
+        text = corpus._chunk_text(cols, count)
+        if not any("\r" in cell for row in rows for cell in row):
+            want = io.StringIO()
+            csv.writer(want, lineterminator="\n").writerows(rows)
+            assert text == want.getvalue(), (trial, rows)
+        path = tmp_path / f"{trial}.csv"
+        names = [f"c{i}" for i in range(ncols)]
+        path.write_text(csv_line(*names) + text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(csv_rows(fh, DialectConfig())) == [names] + [list(r) for r in rows], (trial, rows)
+
+
+def test_plan_values_that_are_not_text_are_written_as_their_str(tmp_path):
+    """`choice`, `cycle` and `fixed` values and `value` recipe pools write
+    a JSON null as an empty cell and any other value as its str()."""
+    import json
+
+    cases = {"int": (5, "5"), "dec": (2.5, "2.5"), "null": (None, ""), "true": (True, "True")}
+    columns, injections = [{"name": "id", "gen": {"kind": "seq"}, "field": {"type": "text"}}], []
+    for name, (v, _cell) in cases.items():
+        columns += [
+            {"name": f"choice_{name}", "gen": {"kind": "choice", "values": [v]}},
+            {"name": f"cycle_{name}", "gen": {"kind": "cycle", "values": [v]}},
+            {"name": f"fixed_{name}", "gen": {"kind": "fixed", "value": v}},
+            {"name": f"pool_{name}", "gen": {"kind": "blank"}},
+        ]
+        injections.append({"rule": None, "count": 3, "recipe": {"kind": "value", "column": f"pool_{name}", "pool": [v]}})
+    doc = {
+        "name": "p",
+        "seed": 1,
+        "object_dataset": "d",
+        "datasets": [{"name": "d", "filename": "d.csv", "records": 3, "columns": columns}],
+        "injections": injections,
+    }
+    text = json.dumps(doc)
+    assert "null" in text and "true" in text
+    res = corpus.generate(corpus.plan_from_json(text), tmp_path)
+    assert _column_values(res, "d") == {
+        "id": ["1", "2", "3"],
+        **{f"{gen}_{name}": [cell] * 3 for name, (_v, cell) in cases.items() for gen in ("choice", "cycle", "fixed", "pool")},
+    }

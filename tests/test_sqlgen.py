@@ -17,11 +17,11 @@ from decimal import Decimal
 import pytest
 
 from dqspec import corpus, engine, sqlgen
+from dqspec.ingest import ASCII_WS
 from dqspec.lang import ast, check_spec, parse_spec
 from dqspec.lang.diagnostics import SpecValidationError
 from dqspec.patterns import like_translation, line_feed_guard
 from dqspec.sqlgen import quote_ident
-from dqspec.values import ASCII_WS
 from helpers import load_plan, write_csv
 from naive_oracle import FAIL, _parse
 from randgen import rand_dataset, rand_executable_spec, rand_spec_ast

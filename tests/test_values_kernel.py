@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqspec import engine, profiler, values
+from dqspec.ingest import ASCII_WS
 from dqspec.lang import check_spec, parse_spec
-from dqspec.values import ASCII_WS, compile_date_format, parse_date_text, parse_decimal, parse_int
+from dqspec.values import compile_date_format, parse_date_text, parse_decimal, parse_int
 from helpers import write_csv
 from naive_oracle import _parse_date, _parse_int, naive_evaluate
 
